@@ -1,11 +1,14 @@
 """Layer set for the small sequential networks used in the experiments.
 
-Everything runs on numpy in NCHW layout.  Each layer caches what its
-backward pass needs, so a layer instance serves one forward/backward pair
-at a time (the network is mutated by a single writer).
+Everything runs on numpy in NCHW layout.  A train-mode forward caches
+what the layer's backward pass needs, so a layer instance serves one
+forward/backward pair at a time (the network is mutated by a single
+writer); an eval-mode forward keeps no backward state.
 
-Conv and pooling use an im2col expansion; a naive nested-loop reference
-lives in the test suite and must agree exactly at f64.
+Conv uses an im2col expansion.  Pooling reduces the k*k strided window
+offsets of the padded input one at a time, in (i, j) row-major order, with
+no window tensor.  Naive nested-loop references live in the test suite and
+must agree exactly at f64.
 """
 
 from __future__ import annotations
@@ -122,6 +125,16 @@ def _col2im(dcols, xp_shape, kh, kw, stride, oh, ow):
     return dxp
 
 
+def _pad(x, p, value=0.0):
+    if not p:
+        return x
+    return np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)), constant_values=value)
+
+
+def _unpad(xp, p):
+    return xp[:, :, p:-p, p:-p] if p else xp
+
+
 class Layer:
     kind = None
 
@@ -158,7 +171,7 @@ class Dense(Layer):
         return (self.spec.geometry["n_out"],)
 
     def forward(self, x, train=False, rng=None):
-        self._x = x
+        self._x = x if train else None
         return x @ self.w.value + self.b.value
 
     def backward(self, dout):
@@ -194,20 +207,20 @@ class Conv2d(Layer):
         k, s, p = g["kernel"], g["stride"], g["pad"]
         b = x.shape[0]
         _, oh, ow = self.out_shape(x.shape[1:])
-        xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
-        cols = _im2col(xp, k, k, s, oh, ow)
-        cols2 = cols.reshape(b, -1, oh * ow)
+        xp = _pad(x, p)
+        cols2 = _im2col(xp, k, k, s, oh, ow).reshape(b, -1, oh * ow)
         w2 = self.w.value.reshape(g["out_ch"], -1)
         out = np.matmul(w2[None], cols2).reshape(b, g["out_ch"], oh, ow)
         out += self.b.value[None, :, None, None]
-        self._cache = (x.shape, xp.shape, cols2, oh, ow)
+        # cols2 is k*k times the input: only a train forward keeps it
+        self._cache = (xp.shape, cols2) if train else None
         return out
 
     def backward(self, dout):
         g = self.spec.geometry
         k, s, p = g["kernel"], g["stride"], g["pad"]
-        x_shape, xp_shape, cols2, oh, ow = self._cache
-        b = dout.shape[0]
+        xp_shape, cols2 = self._cache
+        b, _, oh, ow = dout.shape
         dout2 = dout.reshape(b, g["out_ch"], oh * ow)
         dw2 = np.matmul(dout2, cols2.transpose(0, 2, 1)).sum(axis=0)
         self.w.grad = dw2.reshape(self.w.value.shape)
@@ -215,13 +228,12 @@ class Conv2d(Layer):
         w2 = self.w.value.reshape(g["out_ch"], -1)
         dcols2 = np.matmul(w2.T[None], dout2)
         dcols = dcols2.reshape(b, g["in_ch"], k, k, oh, ow)
-        dxp = _col2im(dcols, xp_shape, k, k, s, oh, ow)
-        if p:
-            return dxp[:, :, p:-p, p:-p]
-        return dxp
+        return _unpad(_col2im(dcols, xp_shape, k, k, s, oh, ow), p)
 
 
 class _Pool(Layer):
+    pad_value = 0.0
+
     def out_shape(self, in_shape):
         g = self.spec.geometry
         if len(in_shape) != 3:
@@ -231,68 +243,78 @@ class _Pool(Layer):
             raise ShapeError(f"{self.kind} geometry {g} yields empty output for input {in_shape}")
         return (in_shape[0], oh, ow)
 
-    def _windows(self, x, pad_value):
+    def _padded(self, x):
+        self.out_shape(x.shape[1:])  # raises ShapeError on an empty output
+        return _pad(x, self.spec.geometry["pad"], self.pad_value)
+
+    def _taps(self, xp):
+        """Strided views of a padded array, one per window offset (i, j) in
+        row-major order; view (i, j) holds element (i, j) of every window."""
         g = self.spec.geometry
-        k, s, p = g["window"], g["stride"], g["pad"]
-        _, oh, ow = self.out_shape(x.shape[1:])
-        if p:
-            xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)), constant_values=pad_value)
-        else:
-            xp = x
-        cols = _im2col(xp, k, k, s, oh, ow)
-        return xp.shape, cols.reshape(x.shape[0], x.shape[1], k * k, oh, ow), oh, ow
+        k, s = g["window"], g["stride"]
+        oh = (xp.shape[2] - k) // s + 1
+        ow = (xp.shape[3] - k) // s + 1
+        return [xp[:, :, i : i + s * oh : s, j : j + s * ow : s]
+                for i in range(k) for j in range(k)]
 
 
 class MaxPool2d(_Pool):
     kind = "maxpool"
+    pad_value = -np.inf
 
     def forward(self, x, train=False, rng=None):
-        xp_shape, win, oh, ow = self._windows(x, -np.inf)
-        self._arg = win.argmax(axis=2)
-        self._meta = (x.shape, xp_shape, win.shape, oh, ow)
-        return np.take_along_axis(win, self._arg[:, :, None], axis=2)[:, :, 0]
+        xp = self._padded(x)
+        taps = self._taps(xp)
+        out = taps[0].copy()
+        for t in taps[1:]:
+            # np.maximum returns its second operand on a tie (+0.0 vs -0.0),
+            # so the running max keeps the first maximal value, as argmax did
+            np.maximum(t, out, out=out)
+        self._cache = (xp, out) if train else None
+        return out
 
     def backward(self, dout):
-        g = self.spec.geometry
-        k, s, p = g["window"], g["stride"], g["pad"]
-        x_shape, xp_shape, win_shape, oh, ow = self._meta
-        dwin = np.zeros(win_shape, dtype=dout.dtype)
-        np.put_along_axis(dwin, self._arg[:, :, None], dout[:, :, None], axis=2)
-        dcols = dwin.reshape(x_shape[0], x_shape[1], k, k, oh, ow)
-        dxp = _col2im(dcols, xp_shape, k, k, s, oh, ow)
-        if p:
-            return dxp[:, :, p:-p, p:-p]
-        return dxp
+        """Route each gradient to the first maximal window position."""
+        xp, out = self._cache
+        dxp = np.zeros(xp.shape, dtype=dout.dtype)
+        free = np.ones(out.shape, dtype=bool)
+        for t, dt in zip(self._taps(xp), self._taps(dxp)):
+            hit = t == out
+            hit &= free
+            free ^= hit
+            dt += np.where(hit, dout, 0)
+        return _unpad(dxp, self.spec.geometry["pad"])
 
 
 class AvgPool2d(_Pool):
     kind = "avgpool"
 
     def forward(self, x, train=False, rng=None):
-        xp_shape, win, oh, ow = self._windows(x, 0.0)
-        self._meta = (x.shape, xp_shape, oh, ow)
-        return win.mean(axis=2)
+        xp = self._padded(x)
+        taps = self._taps(xp)
+        out = taps[0] + 0.0  # sum from +0.0 like np.mean: an all -0.0 window gives +0.0
+        for t in taps[1:]:
+            out += t
+        out /= len(taps)
+        self._cache = xp.shape if train else None
+        return out
 
     def backward(self, dout):
-        g = self.spec.geometry
-        k, s, p = g["window"], g["stride"], g["pad"]
-        x_shape, xp_shape, oh, ow = self._meta
-        dwin = np.broadcast_to(
-            dout[:, :, None] / (k * k), (x_shape[0], x_shape[1], k * k, oh, ow)
-        ).astype(dout.dtype)
-        dcols = dwin.reshape(x_shape[0], x_shape[1], k, k, oh, ow)
-        dxp = _col2im(dcols, xp_shape, k, k, s, oh, ow)
-        if p:
-            return dxp[:, :, p:-p, p:-p]
-        return dxp
+        dxp = np.zeros(self._cache, dtype=dout.dtype)
+        taps = self._taps(dxp)
+        share = dout / len(taps)
+        for dt in taps:
+            dt += share
+        return _unpad(dxp, self.spec.geometry["pad"])
 
 
 class ReLU(Layer):
     kind = "relu"
 
     def forward(self, x, train=False, rng=None):
-        self._pos = x > 0
-        return x * self._pos
+        pos = x > 0
+        self._pos = pos if train else None
+        return x * pos
 
     def backward(self, dout):
         return dout * self._pos
@@ -303,8 +325,9 @@ class LeakyReLU(Layer):
 
     def forward(self, x, train=False, rng=None):
         slope = self.spec.geometry.get("slope", 0.1)
-        self._pos = x > 0
-        return np.where(self._pos, x, slope * x)
+        self._pos = x > 0 if train else None
+        # same bits as np.where(x > 0, x, slope * x), since 0 < slope < 1
+        return np.maximum(x, slope * x)
 
     def backward(self, dout):
         slope = self.spec.geometry.get("slope", 0.1)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, JointPruneError
-from .layers import _im2col
+from .layers import _im2col, _pad
 from .sparsity import select_winners_exact
 
 try:
@@ -90,22 +90,25 @@ class MacReport:
         return kept / self.total_dense
 
 
+# Both counters sum exact int64 pair counts over the batch: a float32 sum
+# drops counts once it passes 2**24.
+
+
 def _effective_macs_fc(x, wmask):
     # pairs (nonzero input i) x (unpruned weight (i, o)), summed over the batch
-    nz = (x != 0).astype(np.float64)
-    return float((nz @ wmask.sum(axis=1).astype(np.float64)).sum())
+    return int(np.count_nonzero(x, axis=0) @ np.count_nonzero(wmask, axis=1))
 
 
 def _effective_macs_conv(x, layer, wmask):
     g = layer.spec.geometry
     k, s, p = g["kernel"], g["stride"], g["pad"]
     _, oh, ow = layer.out_shape(x.shape[1:])
-    ind = (x != 0).astype(np.float32)
-    if p:
-        ind = np.pad(ind, ((0, 0), (0, 0), (p, p), (p, p)))
-    cols = _im2col(ind, k, k, s, oh, ow).reshape(x.shape[0], -1, oh * ow)
-    per_elem = wmask.reshape(g["out_ch"], -1).sum(axis=0).astype(np.float32)
-    return float(np.einsum("e,bep->", per_elem, cols))
+    # per input position, the samples where it is nonzero; then one
+    # batch-1 im2col gives each (element, output position) pair's count
+    nz = _pad(np.count_nonzero(x, axis=0).astype(np.int64)[None], p)
+    cols = _im2col(nz, k, k, s, oh, ow).reshape(-1, oh * ow)
+    per_elem = np.count_nonzero(wmask.reshape(g["out_ch"], -1), axis=0)
+    return int(per_elem @ cols.sum(axis=1))
 
 
 def count_effective_macs(net, batch):

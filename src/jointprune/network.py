@@ -45,6 +45,7 @@ class Network:
         self.layers = [build_layer(s, rng, self.dtype, self._skip_state) for s in self.specs]
         self.layer_shapes = self._resolve_shapes()
         self.mask_cfg = None
+        self._act_masks = None  # set by a train-mode forward only
 
     def _resolve_shapes(self):
         shapes = []
@@ -107,7 +108,6 @@ class Network:
         if rate is None or rate >= 1.0:
             return None
         if cfg.selection_mode == sparsity.PREDICTED_THRESHOLD:
-            n = acts[0].size
             offset = (cfg.offset_seed + i) % max(1, int(1.0 / cfg.downsample_rate))
             return sparsity.predicted_mask_batch(acts, rate, cfg.downsample_rate, offset)
         return sparsity.select_winners_batch(acts, rate)
@@ -117,7 +117,8 @@ class Network:
 
         In train mode dropout is active (requires ``rng``); in eval mode it
         is an identity.  Dynamic winner masks apply in both modes whenever
-        a mask config is attached.
+        a mask config is attached.  Only a train-mode forward keeps the
+        state :meth:`backward` needs.
         """
         if mode not in ("train", "eval"):
             raise ConfigError(f"forward mode must be train or eval, got {mode!r}")
@@ -139,7 +140,7 @@ class Network:
                 act_masks[i] = t
                 x = x * t
             post.append(x)
-        self._act_masks = act_masks
+        self._act_masks = act_masks if train else None
         return ForwardResult(pre, post, act_masks)
 
     def backward(self, dlogits):
@@ -147,8 +148,10 @@ class Network:
 
         Gradients crossing a masked layer output are multiplied by that
         layer's winner mask, and gradients of statically masked-out weights
-        are forced to exact zero.
+        are forced to exact zero.  Needs a train-mode :meth:`forward` first.
         """
+        if self._act_masks is None:
+            raise ConfigError("backward needs a train-mode forward")
         dout = dlogits
         for i in range(len(self.layers) - 1, -1, -1):
             t = self._act_masks[i]

@@ -79,12 +79,18 @@ def _topk_mask_rows(mag, k):
     if k >= n:
         return np.ones_like(mag, dtype=bool)
     # np.partition is introselect: expected linear time, no full sort.
-    kth = np.partition(mag, n - k, axis=1)[:, n - k]
-    gt = mag > kth[:, None]
-    need = k - gt.sum(axis=1)
-    eq = mag == kth[:, None]
-    take = eq & (np.cumsum(eq, axis=1) <= need[:, None])
-    return gt | take
+    kth = np.partition(mag, n - k, axis=1)[:, n - k, None]
+    gt = mag > kth
+    eq = mag == kth
+    need = k - np.count_nonzero(gt, axis=1)
+    # only rows with more ties at the cut than places left need the
+    # lowest-index tie-break; every other row keeps all of its ties
+    tied = np.flatnonzero(np.count_nonzero(eq, axis=1) > need)
+    if tied.size:
+        e = eq[tied]
+        eq[tied] = e & (np.cumsum(e, axis=1) <= need[tied, None])
+    gt |= eq
+    return gt
 
 
 def select_winners_exact(acts, rate):
@@ -105,7 +111,7 @@ def select_winners_exact(acts, rate):
 
 
 def select_winners_batch(acts, rate):
-    """Exact per-sample winner masks for a batch; axis 0 is the sample axis."""
+    """Exact per-sample bool winner masks for a batch; axis 0 is the sample axis."""
     acts = np.asarray(acts)
     if acts.size == 0:
         raise ShapeError("cannot select winners from an empty activation tensor")
@@ -113,7 +119,7 @@ def select_winners_batch(acts, rate):
     n = acts[0].size
     k = winner_count(rate, n)
     mag = np.abs(acts).reshape(b, n)
-    return _topk_mask_rows(mag, k).reshape(acts.shape).astype(acts.dtype)
+    return _topk_mask_rows(mag, k).reshape(acts.shape)
 
 
 def _subsample_indices(n, eps, offset):
@@ -144,7 +150,7 @@ def predict_threshold(acts, rate, eps, offset=0):
 
 
 def predicted_mask_batch(acts, rate, eps, offset=0):
-    """Per-sample ``|a| > theta`` masks using the subsampled threshold."""
+    """Per-sample bool ``|a| > theta`` masks using the subsampled threshold."""
     acts = np.asarray(acts)
     b = acts.shape[0]
     n = acts[0].size
@@ -156,7 +162,7 @@ def predicted_mask_batch(acts, rate, eps, offset=0):
     sub = mag[:, idx]
     r = min(len(idx), max(1, math.ceil(eps * k)))
     theta = np.partition(sub, sub.shape[1] - r, axis=1)[:, sub.shape[1] - r]
-    return (mag > theta[:, None]).reshape(acts.shape).astype(acts.dtype)
+    return (mag > theta[:, None]).reshape(acts.shape)
 
 
 def apply_activation_mask(acts, mask):

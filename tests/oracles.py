@@ -6,6 +6,7 @@ checks.
 """
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 def conv2d_naive(x, w, b, stride, pad):
@@ -115,6 +116,52 @@ def effective_macs_conv_bruteforce(x, wmask, stride, pad):
                                 if xp[n, c, y * stride + i, xx * stride + j] != 0 and wmask[oc, c, i, j] != 0:
                                     total += 1
     return total
+
+
+def effective_macs_conv_int64(x, wmask, stride, pad):
+    """The same pair count as :func:`effective_macs_conv_bruteforce` in
+    int64 over sliding windows, for sizes the loop cannot reach."""
+    nz = np.pad((x != 0).astype(np.int64), ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    kh, kw = wmask.shape[2:]
+    win = sliding_window_view(nz, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+    kept = (wmask != 0).sum(axis=0)
+    return int(np.einsum("bchwij,cij->", win, kept))
+
+
+def maxpool_backward_naive(x, dout, window, stride, pad):
+    """Each output gradient goes to the first maximal element of its window,
+    scanning the window in row-major order."""
+    bsz, c, h, w = x.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)), constant_values=-np.inf)
+    dxp = np.zeros(xp.shape, dtype=dout.dtype)
+    _, _, oh, ow = dout.shape
+    for n in range(bsz):
+        for ch in range(c):
+            for y in range(oh):
+                for xx in range(ow):
+                    best = None
+                    for i in range(window):
+                        for j in range(window):
+                            v = xp[n, ch, y * stride + i, xx * stride + j]
+                            if best is None or v > best[0]:
+                                best = (v, i, j)
+                    _, i, j = best
+                    dxp[n, ch, y * stride + i, xx * stride + j] += dout[n, ch, y, xx]
+    return dxp[:, :, pad : pad + h, pad : pad + w]
+
+
+def avgpool_backward_naive(x, dout, window, stride, pad):
+    """Each output gradient spread evenly over its window, padding included."""
+    bsz, c, h, w = x.shape
+    dxp = np.zeros((bsz, c, h + 2 * pad, w + 2 * pad), dtype=dout.dtype)
+    _, _, oh, ow = dout.shape
+    for n in range(bsz):
+        for ch in range(c):
+            for y in range(oh):
+                for xx in range(ow):
+                    dxp[n, ch, y * stride : y * stride + window,
+                        xx * stride : xx * stride + window] += dout[n, ch, y, xx] / window**2
+    return dxp[:, :, pad : pad + h, pad : pad + w]
 
 
 def adadelta_scalar_reference(grads, lr, rho, eps):

@@ -9,7 +9,14 @@ from jointprune.errors import ShapeError
 from jointprune.network import Network, loss_and_backward
 from jointprune.sparsity import WinnerRateConfig
 
-from oracles import avgpool_naive, central_diff_grad, conv2d_naive, maxpool_naive
+from oracles import (
+    avgpool_backward_naive,
+    avgpool_naive,
+    central_diff_grad,
+    conv2d_naive,
+    maxpool_backward_naive,
+    maxpool_naive,
+)
 
 
 def test_fc_identity():
@@ -80,6 +87,41 @@ def test_conv_and_pool_match_naive_100_geometries(rng):
             ref = avgpool_naive(x, k, stride, pad)
         out = net.forward(x).logits
         assert np.allclose(out, ref, rtol=1e-12, atol=1e-13), f"trial {trial}"
+
+
+def test_pool_backward_matches_naive(rng):
+    """Integer inputs tie inside windows: max routes each gradient to the
+    first maximal element.  Integer gradients (times k*k for avg) keep every
+    sum exact, so any accumulation order gives the same bits."""
+    for trial in range(60):
+        k = int(rng.integers(1, 4))
+        stride = int(rng.integers(1, 4))
+        pad = int(rng.integers(0, k))
+        c = int(rng.integers(1, 3))
+        h = int(rng.integers(k + 1, 9))
+        x = rng.integers(-2, 3, size=(2, c, h, h)).astype(np.float64)
+        for spec, fwd, bwd, scale in ((L.maxpool, maxpool_naive, maxpool_backward_naive, 1),
+                                      (L.avgpool, avgpool_naive, avgpool_backward_naive, k * k)):
+            layer = L.build_layer(spec(k, stride, pad), None, np.float64, {})
+            out = layer.forward(x, train=True)
+            ref = fwd(x, k, stride, pad)
+            assert np.array_equal(out, ref), f"trial {trial} {spec.__name__}"
+            dout = rng.integers(-3, 4, size=out.shape).astype(np.float64) * scale
+            dx = layer.backward(dout)
+            assert np.array_equal(dx, bwd(x, dout, k, stride, pad)), f"trial {trial} {spec.__name__}"
+
+
+def test_leaky_relu_matches_where_form_bitwise(rng):
+    x = np.concatenate([rng.standard_normal(200), [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324]])
+    for dtype in (np.float32, np.float64):
+        xs = x.astype(dtype)
+        dout = np.concatenate([rng.standard_normal(200), [-0.0, 0.0, 1.0, -1.0, -0.0, 2.0]])
+        dout = dout.astype(dtype)
+        for slope in (0.1, 0.3, 0.99):
+            layer = L.build_layer(L.leaky_relu(slope), None, dtype, {})
+            out = layer.forward(xs, train=True)
+            assert out.tobytes() == np.where(xs > 0, xs, slope * xs).tobytes()
+            assert layer.backward(dout).tobytes() == np.where(xs > 0, dout, slope * dout).tobytes()
 
 
 def test_forward_determinism(rng):

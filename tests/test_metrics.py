@@ -22,7 +22,11 @@ from jointprune.metrics import (
 from jointprune.models import get_preset
 from jointprune.network import Network
 
-from oracles import effective_macs_conv_bruteforce, effective_macs_fc_bruteforce
+from oracles import (
+    effective_macs_conv_bruteforce,
+    effective_macs_conv_int64,
+    effective_macs_fc_bruteforce,
+)
 
 
 def test_mlp3_dense_mac_counts():
@@ -122,6 +126,18 @@ def test_effective_macs_match_bruteforce_100_layers(rng):
             report = count_effective_macs(net, x)
             ref = effective_macs_conv_bruteforce(x, mask, stride, pad) / 2
         assert np.isclose(report.rows[0].effective_macs, ref), f"trial {trial}"
+
+
+def test_conv_effective_macs_exact_above_2_pow_24_pairs(rng):
+    """More pairs than float32 counts exactly: the count must stay exact."""
+    net = Network([L.conv2d(20, 50, 5, 1, 2)], (20, 14, 14))
+    w = net.layers[0].w
+    w.set_mask((rng.random(w.value.shape) > 0.3).astype(np.float32))
+    x = rng.standard_normal((32, 20, 14, 14)).astype(np.float32)
+    x[rng.random(x.shape) < 0.5] = 0.0
+    pairs = effective_macs_conv_int64(x, w.mask, 1, 2)
+    assert pairs > 2**24
+    assert count_effective_macs(net, x).rows[0].effective_macs * 32 == pairs
 
 
 def test_effective_macs_monotone_under_pruning(rng):

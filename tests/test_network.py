@@ -109,6 +109,22 @@ def test_rate_one_layer_is_unmasked(rng):
     assert res.act_masks[1] is None
 
 
+def test_backward_needs_train_forward(rng):
+    net = Network([L.conv2d(1, 2, 3, 1, 1), L.relu(), L.maxpool(2, 2), L.avgpool(2, 2),
+                   L.flatten(), L.fc(2, 3)], (1, 4, 4))
+    x = rng.standard_normal((2, 1, 4, 4)).astype(np.float32)
+    dlogits = np.ones((2, 3), dtype=np.float32)
+    with pytest.raises(ConfigError, match="train-mode forward"):
+        net.backward(dlogits)
+    net.forward(x, mode="train")
+    net.backward(dlogits)
+    net.forward(x, mode="eval")
+    # an eval forward drops the backward state a train forward left behind
+    assert all(getattr(layer, "_cache", None) is None for layer in net.layers)
+    with pytest.raises(ConfigError, match="train-mode forward"):
+        net.backward(dlogits)
+
+
 def test_weight_density(rng):
     net = Network([L.flatten(), L.fc(10, 10), L.relu(), L.fc(10, 10)], (1, 2, 5))
     assert net.weight_density() == 1.0

@@ -80,6 +80,30 @@ def test_batch_rows_match_single(rng):
         assert np.array_equal(batch[i], single.mask)
 
 
+def test_batch_masks_are_bool_and_match_oracles():
+    """Rows with and without surplus ties at the cut, in one batch: the bool
+    masks pick the full-sort winners, and masking with them gives the same
+    bits as masking with float masks, signed zeros included."""
+    for trial in range(200):
+        rng = np.random.default_rng(trial)
+        b, n = int(rng.integers(1, 6)), int(rng.integers(10, 300))
+        acts = rng.standard_normal((b, n)).astype(np.float32)
+        quantized = rng.random(b) < 0.5
+        acts[quantized] = np.round(acts[quantized], 1)
+        acts[rng.random(acts.shape) < 0.1] = -0.0
+        rate = float(rng.uniform(0.05, 0.9))
+        exact = select_winners_batch(acts, rate)
+        pred = predicted_mask_batch(acts, rate, 0.5, offset=trial % 2)
+        assert exact.dtype == bool and pred.dtype == bool
+        k = winner_count(rate, n)
+        for r in range(b):
+            assert set(np.flatnonzero(exact[r]).tolist()) == topk_fullsort(acts[r], k)
+            theta = predict_threshold(acts[r], rate, 0.5, offset=trial % 2)
+            assert np.array_equal(pred[r], np.abs(acts[r]) > theta)
+        for t in (exact, pred):
+            assert (acts * t).tobytes() == (acts * t.astype(acts.dtype)).tobytes()
+
+
 def test_tie_break_prefers_lowest_index():
     acts = np.array([2.0, -2.0, 2.0, 1.0])
     m = select_winners_exact(acts, 0.5)  # k = 2, three tied at |2|
