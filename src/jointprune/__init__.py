@@ -13,17 +13,12 @@ from .errors import (
     JointPruneError,
     ShapeError,
 )
-from .layers import LayerSpec
+from .layers import LayerSpec, Param
 from .network import Network, loss_and_backward
 from .sparsity import (
-    ActivationMask,
     WinnerRateConfig,
-    apply_activation_mask,
-    predict_threshold,
     prune_weights_by_magnitude,
-    select_winners_exact,
     threshold_for_target_density,
 )
-from .tensor import Param, Tensor
 
 __version__ = "0.1.0"

@@ -10,14 +10,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-
-import numpy as np
+from dataclasses import replace
 
 from . import checkpoint as ckpt_io
 from . import metrics, pipeline
 from .config import load_experiment
 from .errors import JointPruneError
-from .sparsity import WinnerRateConfig
+from .sparsity import PREDICTED_THRESHOLD
 
 
 def _out(exp, name):
@@ -34,7 +33,7 @@ def cmd_train_dense(exp, args):
     net = exp.preset.build(seed=exp.train_cfg.seed)
     train, val, test = exp.load_data()
     history = pipeline.train_dense(net, exp.train_cfg, train, val)
-    acc = pipeline.accuracy(net, test)
+    acc, _ = pipeline.evaluate(net, test, mode="dense")
     path = _out(exp, "dense.ckpt")
     ckpt_io.save_checkpoint(
         ckpt_io.checkpoint_from_network(net, meta={"seed": exp.train_cfg.seed,
@@ -88,7 +87,7 @@ def cmd_eval(exp, args):
     _, _, test = exp.load_data()
     stat_layers = exp.preset.mask_layers
     acc, stats = pipeline.evaluate(net, test, mode=mode, stat_layers=stat_layers)
-    metrics.emit_report(stats, _out(exp, f"sparsity_{args.mode}.csv"))
+    metrics.emit_report(stats.table(), _out(exp, f"sparsity_{args.mode}.csv"))
     print(f"eval: mode={args.mode} test_acc={acc:.4f} "
           f"acti_percent={stats.activation_percent:.2f}")
     return 0
@@ -102,7 +101,7 @@ def cmd_report_macs(exp, args):
     batch = test.images[: args.batch]
     report = metrics.count_effective_macs(net, batch)
     path = _out(exp, "macs.csv")
-    metrics.emit_report(report, path)
+    metrics.emit_report(report.table(), path)
     print(f"report-macs: mac_percent={report.mac_percent:.2f} "
           f"weight_density={report.weight_density:.4f} out={path}")
     return 0
@@ -112,31 +111,26 @@ def cmd_bench_fc(exp, args):
     record = metrics.bench_condensed_fc(args.n_in, args.n_out, args.rate,
                                         trials=args.trials, seed=exp.train_cfg.seed)
     path = _out(exp, "bench_fc.csv")
-    metrics.emit_report(record, path)
+    metrics.emit_report(record.table(), path)
     flag = " (unstable)" if record.unstable else ""
     print(f"bench-fc: {args.n_in}x{args.n_out} rate={args.rate} "
           f"speedup={record.speedup:.2f}x{flag} out={path}")
     return 0
 
 
-def cmd_predict_threshold_study(exp, args):
+def cmd_threshold_prediction_study(exp, args):
     net = _load_net(exp, args.checkpoint or _out(exp, "jp.ckpt"))
     if net.mask_cfg is None:
         net.set_mask_cfg(exp.mask_cfg)
     _, _, test = exp.load_data()
-    exact_cfg = net.mask_cfg
     acc_exact, _ = pipeline.evaluate(net, test, mode="jp")
     rows = []
     for eps in args.eps_grid:
-        net.set_mask_cfg(WinnerRateConfig(
-            per_layer_rate=dict(exact_cfg.per_layer_rate),
-            downsample_rate=eps,
-            selection_mode="predicted_threshold",
-            offset_seed=exact_cfg.offset_seed,
-        ))
-        acc, _ = pipeline.evaluate(net, test, mode="jp")
+        predicted = replace(net.mask_cfg, downsample_rate=eps,
+                            selection_mode=PREDICTED_THRESHOLD)
+        with net.masks(predicted):
+            acc, _ = pipeline.evaluate(net, test, mode="jp")
         rows.append([f"{eps:.4f}", f"{acc:.6f}", f"{acc_exact - acc:.6f}"])
-    net.set_mask_cfg(exact_cfg)
     path = _out(exp, "threshold_prediction.csv")
     metrics.emit_report((["downsample_rate", "accuracy", "drop_vs_exact"], rows), path)
     print(f"predict-threshold-study: exact_acc={acc_exact:.4f} points={len(rows)} out={path}")
@@ -172,7 +166,7 @@ def build_parser():
     p.add_argument("--n-out", type=int, default=4096)
     p.add_argument("--rate", type=float, default=0.10)
     p.add_argument("--trials", type=int, default=100)
-    p = add("predict-threshold-study", cmd_predict_threshold_study)
+    p = add("predict-threshold-study", cmd_threshold_prediction_study)
     p.add_argument("--checkpoint")
     p.add_argument("--eps-grid", type=float, nargs="+",
                    default=[1.0, 0.5, 0.2, 0.1, 0.05])
@@ -184,7 +178,7 @@ def main(argv=None):
     try:
         exp = load_experiment(args.config)
         return args.fn(exp, args)
-    except JointPruneError as e:
+    except (JointPruneError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

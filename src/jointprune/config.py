@@ -65,20 +65,23 @@ def _get(doc, path, default=None, required=False):
     return cur
 
 
-def _resolve_rates(value, preset):
-    if value in (None, "reference"):
-        return dict(preset.reference_rates)
-    if isinstance(value, dict):
-        return {int(k): float(v) for k, v in value.items()}
-    raise ConfigError("prune.winner_rates must be 'reference' or a {layer: rate} map")
+def _as(cast, doc, path, default):
+    """``cast(value)`` of a config key; a bad value names the key path."""
+    value = _get(doc, path, default)
+    try:
+        return cast(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"config key {path}: invalid value {value!r}") from None
 
 
-def _resolve_targets(value, preset):
+def _per_layer(doc, path, reference):
+    """A {layer: value} map; an absent or 'reference' key gives ``reference``."""
+    value = _get(doc, path)
     if value in (None, "reference"):
-        return dict(preset.weight_targets)
-    if isinstance(value, dict):
-        return {int(k): float(v) for k, v in value.items()}
-    raise ConfigError("prune.weight_targets must be 'reference' or a {layer: density} map")
+        return dict(reference)
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path} must be 'reference' or a {{layer: value}} map")
+    return _as(lambda v: {int(k): float(x) for k, x in v.items()}, doc, path, None)
 
 
 def load_experiment(path):
@@ -91,34 +94,33 @@ def load_experiment(path):
         raise ConfigError(f"config {path} is not valid YAML: {e}") from None
 
     model = _get(doc, "model", required=True)
-    base_dropout = _get(doc, "train.base_dropout")
-    if base_dropout is None:
+    if _get(doc, "train.base_dropout") is None:
         preset = get_preset(model)
     else:
-        preset = get_preset(model, base_dropout=float(base_dropout))
-    seed = int(_get(doc, "seed", 0))
+        preset = get_preset(model, base_dropout=_as(float, doc, "train.base_dropout", None))
+    seed = _as(int, doc, "seed", 0)
 
     train_cfg = TrainConfig(
         optimizer=_get(doc, "train.optimizer", "adadelta"),
-        lr=float(_get(doc, "train.lr", 1.0)),
-        momentum=float(_get(doc, "train.momentum", 0.9)),
-        rho=float(_get(doc, "train.rho", 0.95)),
-        eps=float(_get(doc, "train.eps", 1e-6)),
-        baseline_epochs=int(_get(doc, "train.baseline_epochs", 20)),
-        batch_size=int(_get(doc, "train.batch_size", 100)),
-        l1_strength=float(_get(doc, "prune.l1_strength", 1e-5)),
-        lr_scale=float(_get(doc, "prune.lr_scale", 0.1)),
-        adadelta_lr=float(_get(doc, "prune.adadelta_lr", 0.1)),
-        warmup_epochs=int(_get(doc, "prune.warmup_epochs", 1)),
-        finetune_epochs=int(_get(doc, "prune.finetune_epochs", 10)),
-        prune_ramp_epochs=int(_get(doc, "prune.prune_ramp_epochs", 4)),
-        base_dropout=_get(doc, "train.base_dropout", preset.base_dropout),
-        weight_target_density=_resolve_targets(_get(doc, "prune.weight_targets"), preset),
+        lr=_as(float, doc, "train.lr", 1.0),
+        momentum=_as(float, doc, "train.momentum", 0.9),
+        rho=_as(float, doc, "train.rho", 0.95),
+        eps=_as(float, doc, "train.eps", 1e-6),
+        baseline_epochs=_as(int, doc, "train.baseline_epochs", 20),
+        batch_size=_as(int, doc, "train.batch_size", 100),
+        l1_strength=_as(float, doc, "prune.l1_strength", 1e-5),
+        lr_scale=_as(float, doc, "prune.lr_scale", 0.1),
+        adadelta_lr=_as(float, doc, "prune.adadelta_lr", 0.1),
+        warmup_epochs=_as(int, doc, "prune.warmup_epochs", 1),
+        finetune_epochs=_as(int, doc, "prune.finetune_epochs", 10),
+        prune_ramp_epochs=_as(int, doc, "prune.prune_ramp_epochs", 4),
+        base_dropout=preset.base_dropout,
+        weight_target_density=_per_layer(doc, "prune.weight_targets", preset.weight_targets),
         seed=seed,
     )
     mask_cfg = WinnerRateConfig(
-        per_layer_rate=_resolve_rates(_get(doc, "prune.winner_rates"), preset),
-        downsample_rate=float(_get(doc, "sparsity.downsample_rate", 1.0)),
+        per_layer_rate=_per_layer(doc, "prune.winner_rates", preset.reference_rates),
+        downsample_rate=_as(float, doc, "sparsity.downsample_rate", 1.0),
         selection_mode=_get(doc, "sparsity.selection_mode", "exact_topk"),
         offset_seed=seed,
     )
@@ -127,11 +129,11 @@ def load_experiment(path):
         train_cfg=train_cfg,
         mask_cfg=mask_cfg,
         data_dir=_get(doc, "data.dir", required=True),
-        val_size=int(_get(doc, "data.val_size", 10000)),
-        train_subset=_get(doc, "data.train_subset"),
-        rate_grid=[float(r) for r in _get(doc, "prune.rate_grid",
-                                          [0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 1.0])],
-        tolerable_drop=float(_get(doc, "prune.tolerable_drop", 0.01)),
+        val_size=_as(int, doc, "data.val_size", 10000),
+        train_subset=_as(lambda v: v and int(v), doc, "data.train_subset", None),
+        rate_grid=_as(lambda v: [float(r) for r in v], doc, "prune.rate_grid",
+                      [0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 1.0]),
+        tolerable_drop=_as(float, doc, "prune.tolerable_drop", 0.01),
         out_dir=_get(doc, "outputs", os.path.join("runs", model)),
         raw=doc,
     )

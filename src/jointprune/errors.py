@@ -6,7 +6,7 @@ class JointPruneError(Exception):
 
 
 class ShapeError(JointPruneError):
-    """Tensor shape mismatch; message names the offending layer when known."""
+    """Array shape mismatch; message names the offending layer when known."""
 
 
 class ConfigError(JointPruneError):

@@ -18,20 +18,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .tensor import Param
-
-LAYER_KINDS = (
-    "fc",
-    "conv2d",
-    "maxpool",
-    "avgpool",
-    "relu",
-    "leaky_relu",
-    "dropout",
-    "flatten",
-    "skip_save",
-    "skip_add",
-)
 
 
 @dataclass
@@ -135,12 +121,51 @@ def _unpad(xp, p):
     return xp[:, :, p:-p, p:-p] if p else xp
 
 
+class Param:
+    """A trainable array with its gradient and an optional static binary mask.
+
+    The mask, when set, is a {0,1} array congruent to ``value``; pruned
+    positions stay at exactly zero and receive zero gradient.
+    """
+
+    __slots__ = ("name", "value", "grad", "mask")
+
+    def __init__(self, name, value):
+        self.name = name
+        self.value = np.asarray(value)
+        self.grad = np.zeros_like(self.value)
+        self.mask = None
+
+    @property
+    def shape(self):
+        return self.value.shape
+
+    def set_mask(self, mask):
+        mask = np.asarray(mask, dtype=self.value.dtype)
+        if mask.shape != self.value.shape:
+            raise ShapeError(
+                f"mask shape {mask.shape} != param {self.name} shape {self.value.shape}"
+            )
+        self.mask = mask
+        self.value *= mask
+
+    def density(self):
+        """Fraction of weights kept by the mask (1.0 when unmasked)."""
+        if self.mask is None:
+            return 1.0
+        return float(self.mask.sum()) / self.mask.size
+
+
 class Layer:
+    """Every layer kind is built as ``cls(spec, rng, dtype, skip_state)``;
+    ``skip_state`` is the network's dict shared by skip_save/skip_add."""
+
     kind = None
 
-    def __init__(self, spec):
+    def __init__(self, spec, rng, dtype, skip_state):
         self.spec = spec
         self.params = []
+        self._skip_state = skip_state
 
     def out_shape(self, in_shape):
         return in_shape
@@ -155,8 +180,8 @@ class Layer:
 class Dense(Layer):
     kind = "fc"
 
-    def __init__(self, spec, rng, dtype):
-        super().__init__(spec)
+    def __init__(self, spec, rng, dtype, skip_state):
+        super().__init__(spec, rng, dtype, skip_state)
         n_in, n_out = spec.geometry["n_in"], spec.geometry["n_out"]
         limit = np.sqrt(6.0 / n_in)
         self.w = Param("w", rng.uniform(-limit, limit, (n_in, n_out)).astype(dtype))
@@ -183,8 +208,8 @@ class Dense(Layer):
 class Conv2d(Layer):
     kind = "conv2d"
 
-    def __init__(self, spec, rng, dtype):
-        super().__init__(spec)
+    def __init__(self, spec, rng, dtype, skip_state):
+        super().__init__(spec, rng, dtype, skip_state)
         g = spec.geometry
         kh = kw = g["kernel"]
         fan_in = g["in_ch"] * kh * kw
@@ -375,16 +400,12 @@ class SkipSave(Layer):
 
     kind = "skip_save"
 
-    def __init__(self, spec, skip_state):
-        super().__init__(spec)
-        self._state = skip_state
-
     def forward(self, x, train=False, rng=None):
-        self._state[self.spec.geometry["tag"]] = x
+        self._skip_state[self.spec.geometry["tag"]] = x
         return x
 
     def backward(self, dout):
-        extra = self._state.pop("d_" + self.spec.geometry["tag"], None)
+        extra = self._skip_state.pop("d_" + self.spec.geometry["tag"], None)
         if extra is not None:
             return dout + extra
         return dout
@@ -395,12 +416,9 @@ class SkipAdd(Layer):
 
     kind = "skip_add"
 
-    def __init__(self, spec, skip_state):
-        super().__init__(spec)
-        self._state = skip_state
-
     def forward(self, x, train=False, rng=None):
-        saved = self._state.get(self.spec.geometry["tag"])
+        # pop: backward never reads the branch, so it dies with this forward
+        saved = self._skip_state.pop(self.spec.geometry["tag"], None)
         if saved is None:
             raise ShapeError(f"skip_add {self.spec.geometry['tag']!r} has no saved branch")
         if saved.shape != x.shape:
@@ -410,29 +428,14 @@ class SkipAdd(Layer):
         return x + saved
 
     def backward(self, dout):
-        self._state["d_" + self.spec.geometry["tag"]] = dout
+        self._skip_state["d_" + self.spec.geometry["tag"]] = dout
         return dout
 
 
+_LAYER_CLASSES = {cls.kind: cls for cls in (
+    Dense, Conv2d, MaxPool2d, AvgPool2d, ReLU, LeakyReLU, Dropout, Flatten, SkipSave, SkipAdd)}
+LAYER_KINDS = tuple(_LAYER_CLASSES)
+
+
 def build_layer(spec, rng, dtype, skip_state):
-    if spec.kind == "fc":
-        return Dense(spec, rng, dtype)
-    if spec.kind == "conv2d":
-        return Conv2d(spec, rng, dtype)
-    if spec.kind == "maxpool":
-        return MaxPool2d(spec)
-    if spec.kind == "avgpool":
-        return AvgPool2d(spec)
-    if spec.kind == "relu":
-        return ReLU(spec)
-    if spec.kind == "leaky_relu":
-        return LeakyReLU(spec)
-    if spec.kind == "dropout":
-        return Dropout(spec)
-    if spec.kind == "flatten":
-        return Flatten(spec)
-    if spec.kind == "skip_save":
-        return SkipSave(spec, skip_state)
-    if spec.kind == "skip_add":
-        return SkipAdd(spec, skip_state)
-    raise ConfigError(f"unknown layer kind {spec.kind!r}")
+    return _LAYER_CLASSES[spec.kind](spec, rng, dtype, skip_state)

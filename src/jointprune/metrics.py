@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError, JointPruneError
 from .layers import _im2col, _pad
-from .sparsity import select_winners_exact
+from .sparsity import winner_count
 
 try:
     from threadpoolctl import threadpool_limits
@@ -89,6 +89,21 @@ class MacReport:
         kept = sum(r.weight_density * r.dense_macs for r in self.rows)
         return kept / self.total_dense
 
+    def table(self):
+        """(header, rows) for :func:`emit_report`; a Total row closes a
+        non-empty report."""
+        rows = [
+            [r.name, r.dense_macs, f"{r.effective_macs:.6f}", f"{r.acti_density_in:.8f}",
+             f"{r.weight_density:.8f}", f"{r.mac_percent:.6f}"]
+            for r in self.rows
+        ]
+        if self.rows:
+            rows.append(
+                ["Total", self.total_dense, f"{self.total_effective:.6f}", "",
+                 f"{self.weight_density:.8f}", f"{self.mac_percent:.6f}"]
+            )
+        return MAC_HEADER, rows
+
 
 # Both counters sum exact int64 pair counts over the batch: a float32 sum
 # drops counts once it passes 2**24.
@@ -157,6 +172,9 @@ class SparsityStats:
         nnz = sum(size * frac for _, size, frac in self.per_layer)
         return 100.0 * nnz / total
 
+    def table(self):
+        return SPARSITY_HEADER, [[i, size, f"{frac:.8f}"] for i, size, frac in self.per_layer]
+
 
 # -- fc condensation benchmark ---------------------------------------------
 
@@ -179,6 +197,13 @@ class SpeedupRecord:
     @property
     def speedup(self):
         return self.time_original / self.time_prune_plus_mac
+
+    def table(self):
+        return SPEEDUP_HEADER, [
+            [self.n_in, self.n_out, self.winner_rate, f"{self.time_original:.9f}",
+             f"{self.time_select:.9f}", f"{self.time_condensed_mac:.9f}", self.trials,
+             int(self.unstable), f"{self.speedup:.4f}"]
+        ]
 
 
 def _median_times(fn, trials, warmup):
@@ -203,10 +228,12 @@ def bench_condensed_fc(n_in, n_out, rate, trials=100, warmup=10, seed=0):
     """
     if trials < 1:
         raise ConfigError("trials must be >= 1")
+    if not 0.0 < rate <= 1.0:
+        raise ConfigError(f"winner rate must be in (0,1], got {rate}")
     rng = np.random.default_rng(seed)
     w = rng.standard_normal((n_in, n_out)).astype(np.float32)
     a = rng.standard_normal(n_in).astype(np.float32)
-    k = select_winners_exact(a, rate).winner_count
+    k = winner_count(rate, n_in)
     idx = np.argpartition(np.abs(a), n_in - k)[n_in - k :]
 
     masked = np.zeros_like(a)
@@ -260,38 +287,10 @@ SPEEDUP_HEADER = ["n_in", "n_out", "winner_rate", "time_original_s",
                   "time_select_s", "time_condensed_mac_s", "trials", "unstable", "speedup"]
 
 
-def _rows_for(report):
-    if isinstance(report, MacReport):
-        rows = [
-            [r.name, r.dense_macs, f"{r.effective_macs:.6f}", f"{r.acti_density_in:.8f}",
-             f"{r.weight_density:.8f}", f"{r.mac_percent:.6f}"]
-            for r in report.rows
-        ]
-        if report.rows:
-            rows.append(
-                ["Total", report.total_dense, f"{report.total_effective:.6f}", "",
-                 f"{report.weight_density:.8f}", f"{report.mac_percent:.6f}"]
-            )
-        return MAC_HEADER, rows
-    if isinstance(report, SparsityStats):
-        return SPARSITY_HEADER, [
-            [i, size, f"{frac:.8f}"] for i, size, frac in report.per_layer
-        ]
-    if isinstance(report, SpeedupRecord):
-        r = report
-        return SPEEDUP_HEADER, [
-            [r.n_in, r.n_out, r.winner_rate, f"{r.time_original:.9f}", f"{r.time_select:.9f}",
-             f"{r.time_condensed_mac:.9f}", r.trials, int(r.unstable), f"{r.speedup:.4f}"]
-        ]
-    raise ConfigError(f"cannot emit a report of type {type(report).__name__}")
-
-
-def emit_report(report, path):
-    """Write a report as CSV with a stable column order."""
-    if isinstance(report, tuple):  # already-parsed (header, rows)
-        header, rows = report
-    else:
-        header, rows = _rows_for(report)
+def emit_report(table, path):
+    """Write a ``(header, rows)`` table, as every report's ``table()``
+    returns it, as CSV with a stable column order."""
+    header, rows = table
     try:
         with open(path, "w", newline="") as f:
             writer = csv.writer(f, lineterminator="\n")

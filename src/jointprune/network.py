@@ -8,6 +8,8 @@ never masked.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 
 from . import sparsity
@@ -20,15 +22,14 @@ WEIGHT_KINDS = ("fc", "conv2d")
 class ForwardResult:
     """Per-layer activations from one forward pass.
 
-    ``pre_mask[i]`` is layer i's raw output, ``post_mask[i]`` the output
-    after the dynamic winner mask (the same array when layer i is
-    unmasked).  ``logits`` is the final layer output.
+    ``post_mask[i]`` is layer i's output after its dynamic winner mask
+    ``act_masks[i]`` (None, and the raw output, when layer i is unmasked).
+    ``logits`` is the final layer output.
     """
 
-    __slots__ = ("pre_mask", "post_mask", "logits", "act_masks")
+    __slots__ = ("post_mask", "logits", "act_masks")
 
-    def __init__(self, pre_mask, post_mask, act_masks):
-        self.pre_mask = pre_mask
+    def __init__(self, post_mask, act_masks):
         self.post_mask = post_mask
         self.logits = post_mask[-1]
         self.act_masks = act_masks
@@ -80,6 +81,17 @@ class Network:
                     raise ConfigError("the final layer output must not carry an activation mask")
         self.mask_cfg = cfg
 
+    @contextmanager
+    def masks(self, cfg):
+        """Attach ``cfg`` (validated as by :meth:`set_mask_cfg`) for the
+        ``with`` block, then put the previous config back."""
+        saved = self.mask_cfg
+        self.set_mask_cfg(cfg)
+        try:
+            yield self
+        finally:
+            self.mask_cfg = saved
+
     def weight_params(self):
         """(layer_index, param) pairs for the fc/conv weight matrices."""
         return [
@@ -128,20 +140,19 @@ class Network:
                 f"input shape {x.shape[1:]} does not match network input {self.input_shape}"
             )
         train = mode == "train"
-        pre, post, act_masks = [], [], [None] * len(self.layers)
+        post, act_masks = [], [None] * len(self.layers)
         for i, layer in enumerate(self.layers):
             try:
                 x = layer.forward(x, train=train, rng=rng)
             except (ValueError, ShapeError) as e:
                 raise ShapeError(f"layer {i} ({layer.kind}): {e}") from None
-            pre.append(x)
             t = self._dynamic_mask(i, x)
             if t is not None:
                 act_masks[i] = t
                 x = x * t
             post.append(x)
         self._act_masks = act_masks if train else None
-        return ForwardResult(pre, post, act_masks)
+        return ForwardResult(post, act_masks)
 
     def backward(self, dlogits):
         """Backpropagate from the logits; fills every param's grad buffer.

@@ -12,8 +12,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DivergenceError
+from .layers import LAYER_KINDS
 from .metrics import SparsityStats
-from .network import loss_and_backward
+from .network import WEIGHT_KINDS, loss_and_backward
 from .optim import make_optimizer
 from .sparsity import WinnerRateConfig, prune_weights_by_magnitude, threshold_for_target_density
 
@@ -87,14 +88,6 @@ def run_epoch(net, opt, split, cfg, rng, alpha=0.0):
     return tuple(totals / max(1, batches))
 
 
-def accuracy(net, split, batch_size=500):
-    correct = 0
-    for idx in minibatches(len(split), batch_size):
-        logits = net.forward(split.images[idx], mode="eval").logits
-        correct += int((logits.argmax(axis=1) == split.labels[idx]).sum())
-    return correct / len(split)
-
-
 def evaluate(net, split, mode="jp", stat_layers=None, batch_size=500):
     """Top-1 accuracy plus measured activation sparsity.
 
@@ -106,19 +99,17 @@ def evaluate(net, split, mode="jp", stat_layers=None, batch_size=500):
     """
     if mode not in ("dense", "wp_only", "jp"):
         raise ConfigError(f"unknown eval mode {mode!r}")
-    saved_cfg = net.mask_cfg
-    if mode in ("dense", "wp_only"):
-        net.mask_cfg = None
-    if mode == "jp" and saved_cfg is None:
+    cfg = net.mask_cfg
+    if mode == "jp" and cfg is None:
         raise ConfigError("jp mode requires a winner-rate config on the network")
     if stat_layers is None:
-        stat_layers = sorted(saved_cfg.per_layer_rate) if saved_cfg else []
+        stat_layers = sorted(cfg.per_layer_rate) if cfg else []
     last = len(net.layers) - 1
     layers = [i for i in stat_layers if i != last] + [last]
-    try:
-        correct = 0
-        nnz = {i: 0 for i in layers}
-        sizes = {i: 0 for i in layers}
+    correct = 0
+    nnz = {i: 0 for i in layers}
+    sizes = {i: 0 for i in layers}
+    with net.masks(cfg if mode == "jp" else None):
         for idx in minibatches(len(split), batch_size):
             result = net.forward(split.images[idx], mode="eval")
             correct += int((result.logits.argmax(axis=1) == split.labels[idx]).sum())
@@ -126,8 +117,6 @@ def evaluate(net, split, mode="jp", stat_layers=None, batch_size=500):
                 a = result.post_mask[i]
                 nnz[i] += int(np.count_nonzero(a))
                 sizes[i] += a.size
-    finally:
-        net.mask_cfg = saved_cfg
     stats = SparsityStats(
         per_layer=[(i, sizes[i] // len(split), nnz[i] / sizes[i]) for i in layers]
     )
@@ -145,7 +134,7 @@ def train_dense(net, cfg, train_split, val_split=None, epochs=None):
         row = {"phase": "dense", "epoch": epoch, "loss": total, "ce": ce, "l1": l1,
                "weight_density": net.weight_density()}
         if val_split is not None:
-            row["val_acc"] = accuracy(net, val_split)
+            row["val_acc"] = evaluate(net, val_split, mode="dense")[0]
         history.append(row)
     return history
 
@@ -161,24 +150,18 @@ def sensitivity_sweep(net, val_split, rates, layers):
     """
     if len(rates) == 0 or len(val_split) == 0:
         raise ConfigError("sensitivity sweep needs a non-empty rate grid and split")
-    saved_cfg = net.mask_cfg
-    net.mask_cfg = None
-    try:
-        base = accuracy(net, val_split)
-        curve = SensitivityCurve(baseline_accuracy=base)
-        for layer in layers:
-            pts = []
-            for rate in sorted(rates):
-                if rate >= 1.0:
-                    pts.append((1.0, 0.0))
-                    continue
-                net.mask_cfg = WinnerRateConfig(per_layer_rate={layer: rate})
-                acc = accuracy(net, val_split)
-                net.mask_cfg = None
-                pts.append((rate, base - acc))
-            curve.points[layer] = pts
-    finally:
-        net.mask_cfg = saved_cfg
+    base = evaluate(net, val_split, mode="dense")[0]
+    curve = SensitivityCurve(baseline_accuracy=base)
+    for layer in layers:
+        pts = []
+        for rate in sorted(rates):
+            if rate >= 1.0:
+                pts.append((1.0, 0.0))
+                continue
+            with net.masks(WinnerRateConfig(per_layer_rate={layer: rate})):
+                acc = evaluate(net, val_split, mode="jp")[0]
+            pts.append((rate, base - acc))
+        curve.points[layer] = pts
     return curve
 
 
@@ -216,8 +199,7 @@ def adjust_dropout(base_rate, winner_rate):
     return base_rate * math.sqrt(winner_rate)
 
 
-_TRANSPARENT = {"relu", "leaky_relu", "flatten", "maxpool", "avgpool",
-                "dropout", "skip_save", "skip_add"}
+_TRANSPARENT = set(LAYER_KINDS) - set(WEIGHT_KINDS)
 
 
 def reconcile_dropout(net, mask_cfg, base_dropout):
@@ -274,8 +256,9 @@ def joint_finetune(net, mask_cfg, cfg, train_split, val_split):
     term and dynamic masks active.  The pruning phase switches to Adadelta,
     ramps the per-layer weight densities to their targets and re-prunes
     once per epoch; weight masks only ever shrink.  On divergence the last
-    good state is restored.  Returns the history; the network ends at the
-    best validation accuracy seen after the ramp completed.
+    good state is restored: the best post-ramp snapshot, or else the state
+    on entry.  Returns the history; the network ends at the best validation
+    accuracy seen after the ramp completed.
     """
     targets = cfg.weight_target_density or {}
     net.set_mask_cfg(mask_cfg)
@@ -296,6 +279,7 @@ def joint_finetune(net, mask_cfg, cfg, train_split, val_split):
         })
         return acc
 
+    entry = _snapshot(net)
     best = (None, -1.0)
     try:
         if cfg.warmup_epochs:
@@ -317,6 +301,8 @@ def joint_finetune(net, mask_cfg, cfg, train_split, val_split):
         history.append({"phase": "aborted", "epoch": -1, "loss": float("nan"),
                         "ce": float("nan"), "l1": float("nan"), "val_acc": float("nan"),
                         "weight_density": net.weight_density(), "act_percent": float("nan")})
+        if best[0] is None:  # diverged before any post-ramp snapshot
+            best = (entry, None)
     if best[0] is not None:
         _restore(net, best[0])
     return history

@@ -14,7 +14,7 @@ count is then approximate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -52,20 +52,7 @@ class WinnerRateConfig:
         return self.per_layer_rate.get(layer_index)
 
     def with_rates(self, per_layer_rate):
-        return WinnerRateConfig(
-            per_layer_rate=dict(per_layer_rate),
-            downsample_rate=self.downsample_rate,
-            selection_mode=self.selection_mode,
-            offset_seed=self.offset_seed,
-        )
-
-
-@dataclass
-class ActivationMask:
-    """Binary mask for one sample's activation tensor plus its winner count."""
-
-    mask: np.ndarray
-    winner_count: int
+        return replace(self, per_layer_rate=dict(per_layer_rate))
 
 
 def winner_count(rate, n):
@@ -93,23 +80,6 @@ def _topk_mask_rows(mag, k):
     return gt
 
 
-def select_winners_exact(acts, rate):
-    """Exact top-k winner mask for a single activation tensor.
-
-    Returns an :class:`ActivationMask` congruent to ``acts`` keeping the
-    k = ceil(rate * N) entries of largest magnitude.
-    """
-    acts = np.asarray(acts)
-    if acts.size == 0:
-        raise ShapeError("cannot select winners from an empty activation tensor")
-    if not 0.0 < rate <= 1.0:
-        raise ConfigError(f"winner rate must be in (0,1], got {rate}")
-    k = winner_count(rate, acts.size)
-    flat = np.abs(acts).reshape(1, -1)
-    mask = _topk_mask_rows(flat, k).reshape(acts.shape)
-    return ActivationMask(mask=mask.astype(acts.dtype), winner_count=k)
-
-
 def select_winners_batch(acts, rate):
     """Exact per-sample bool winner masks for a batch; axis 0 is the sample axis."""
     acts = np.asarray(acts)
@@ -128,29 +98,13 @@ def _subsample_indices(n, eps, offset):
     return (offset + np.arange(m) * stride) % n
 
 
-def predict_threshold(acts, rate, eps, offset=0):
-    """Estimate the top-k magnitude cut from a strided subsample.
-
-    The subsample has round(eps * N) elements taken every floor(1/eps)
-    positions starting at ``offset``; theta is the ceil(eps * k)-th largest
-    magnitude within it.  The caller masks by ``|a| > theta`` (strict), so
-    an all-equal tensor masks to empty.
-    """
-    acts = np.asarray(acts)
-    n = acts.size
-    if n == 0:
-        raise ShapeError("cannot predict a threshold for an empty activation tensor")
-    if eps * n < 1.0:
-        raise ConfigError(f"downsample rate {eps} yields an empty subsample for N={n}")
-    k = winner_count(rate, n)
-    idx = _subsample_indices(n, eps, offset)
-    sub = np.abs(acts.reshape(-1))[idx]
-    r = min(len(sub), max(1, math.ceil(eps * k)))
-    return float(np.partition(sub, len(sub) - r)[len(sub) - r])
-
-
 def predicted_mask_batch(acts, rate, eps, offset=0):
-    """Per-sample bool ``|a| > theta`` masks using the subsampled threshold."""
+    """Per-sample bool ``|a| > theta`` masks from a subsampled threshold.
+
+    Each sample's theta is the ceil(eps * k)-th largest magnitude among
+    round(eps * N) elements taken every floor(1/eps) positions from
+    ``offset``.  The comparison is strict, so an all-equal row masks to empty.
+    """
     acts = np.asarray(acts)
     b = acts.shape[0]
     n = acts[0].size
@@ -163,15 +117,6 @@ def predicted_mask_batch(acts, rate, eps, offset=0):
     r = min(len(idx), max(1, math.ceil(eps * k)))
     theta = np.partition(sub, sub.shape[1] - r, axis=1)[:, sub.shape[1] - r]
     return (mag > theta[:, None]).reshape(acts.shape)
-
-
-def apply_activation_mask(acts, mask):
-    """Element-wise product; winners pass through, the rest become exact zeros."""
-    acts = np.asarray(acts)
-    m = mask.mask if isinstance(mask, ActivationMask) else np.asarray(mask)
-    if m.shape != acts.shape:
-        raise ShapeError(f"activation mask shape {m.shape} != activations {acts.shape}")
-    return acts * m
 
 
 def prune_weights_by_magnitude(weights, threshold):

@@ -5,6 +5,8 @@ finite differences) and stays independent of the library code paths it
 checks.
 """
 
+import math
+
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -68,6 +70,19 @@ def topk_fullsort(acts, k):
     # stable sort on (-magnitude, index): ties resolved by lower index
     order = np.lexsort((np.arange(flat.size), -flat))
     return set(order[:k].tolist())
+
+
+def subsample_threshold(acts, rate, eps, offset):
+    """The predicted-threshold cut by full sort: the ceil(eps * k)-th largest
+    magnitude among round(eps * N) elements taken every floor(1/eps)
+    positions from ``offset`` (wrapping), with k = ceil(rate * N) in [1, N]."""
+    flat = np.abs(np.asarray(acts)).reshape(-1)
+    n = flat.size
+    k = min(n, max(1, math.ceil(rate * n)))
+    m = max(1, round(eps * n))
+    stride = max(1, int(1.0 / eps))
+    sub = np.sort(flat[[(offset + j * stride) % n for j in range(m)]])[::-1]
+    return sub[min(m, max(1, math.ceil(eps * k))) - 1]
 
 
 def central_diff_grad(f, param, indices, h=1e-5):

@@ -26,7 +26,6 @@ from jointprune.metrics import bench_condensed_fc, count_effective_macs
 from jointprune.models import get_preset
 from jointprune.pipeline import (
     TrainConfig,
-    accuracy,
     evaluate,
     joint_finetune,
     train_dense,
@@ -249,7 +248,7 @@ def _static_thresholds(net, batch, layers, keep_rate):
     result = net.forward(batch, mode="eval")
     thresholds = {}
     for i in layers:
-        mag = np.abs(result.pre_mask[i])
+        mag = np.abs(result.post_mask[i])  # the net is unmasked: raw outputs
         thresholds[i] = float(np.quantile(mag, 1.0 - keep_rate))
     return thresholds
 
@@ -279,7 +278,7 @@ def test_static_vs_dynamic_thresholds(leaky6_run):
 
     dyn = _clone(baseline)
     dyn.set_mask_cfg(WinnerRateConfig(per_layer_rate=dict(preset.reference_rates)))
-    dynamic_acc = accuracy(dyn, test)
+    dynamic_acc, _ = evaluate(dyn, test, mode="jp")
 
     static_drop = r["base_acc"] - static_acc
     residual = r["base_acc"] - r["jp_acc"]

@@ -132,3 +132,34 @@ def test_cli_failure_paths(tmp_path, capsys):
     bad.write_text("model: resnet\ndata: {dir: /d}\n")
     assert main(["train-dense", str(bad)]) == 1
     assert "unknown model" in capsys.readouterr().err
+
+
+def _config(tmp_path, data_dir, extra=""):
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text(f"model: mlp3\ndata: {{dir: {data_dir}}}\noutputs: {tmp_path / 'out'}\n{extra}")
+    return str(cfg)
+
+
+def _one_line_error(capsys, *needles):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    for needle in needles:
+        assert needle in err
+
+
+def test_cli_missing_checkpoint_is_one_line_error(tmp_path, capsys):
+    missing = tmp_path / "missing.ckpt"
+    assert main(["eval", _config(tmp_path, tmp_path), "--checkpoint", str(missing)]) == 1
+    _one_line_error(capsys, str(missing))
+
+
+def test_cli_missing_data_dir_is_one_line_error(tmp_path, capsys):
+    missing = tmp_path / "no-such-dir"
+    assert main(["train-dense", _config(tmp_path, missing)]) == 1
+    _one_line_error(capsys, str(missing))
+
+
+def test_cli_malformed_value_names_key_path(tmp_path, capsys):
+    cfg = _config(tmp_path, tmp_path, "train: {lr: abc}\n")
+    assert main(["train-dense", cfg]) == 1
+    _one_line_error(capsys, "train.lr", "'abc'")

@@ -178,7 +178,7 @@ def test_csv_round_trip_byte_identical(tmp_path, rng):
     report = count_effective_macs(net, batch)
     p1 = tmp_path / "macs.csv"
     p2 = tmp_path / "macs2.csv"
-    emit_report(report, p1)
+    emit_report(report.table(), p1)
     parsed = read_report(p1)
     emit_report(parsed, p2)
     assert p1.read_bytes() == p2.read_bytes()
@@ -189,7 +189,7 @@ def test_csv_round_trip_byte_identical(tmp_path, rng):
 
 def test_empty_report_is_header_only(tmp_path):
     path = tmp_path / "empty.csv"
-    emit_report(MacReport(), path)
+    emit_report(MacReport().table(), path)
     assert path.read_text() == "layer,dense_macs,effective_macs,acti_density_in,weight_density,mac_percent\n"
     header, rows = read_report(path)
     assert rows == []
@@ -217,3 +217,6 @@ def test_bench_condensed_fc_small():
     assert rec.n_in == 256 and rec.winner_rate == 0.25
     with pytest.raises(ConfigError):
         bench_condensed_fc(16, 16, 0.5, trials=0)
+    for rate in (0.0, 1.5):  # outside (0, 1]: winner_count would clip it
+        with pytest.raises(ConfigError, match="winner rate"):
+            bench_condensed_fc(16, 16, rate, trials=1)

@@ -92,13 +92,14 @@ def test_forward_result_bookkeeping(rng):
     net.set_mask_cfg(WinnerRateConfig(per_layer_rate={2: 0.25}))
     x = rng.standard_normal((4, 1, 2, 5))
     res = net.forward(x)
-    assert len(res.pre_mask) == len(res.post_mask) == 4
+    assert len(res.post_mask) == len(res.act_masks) == 4
     t = res.act_masks[2]
     assert t is not None and t.shape == (4, 8)
     assert np.all(t.sum(axis=1) == 2)  # ceil(0.25 * 8)
-    assert np.array_equal(res.post_mask[2], res.pre_mask[2] * t)
+    assert np.array_equal(res.post_mask[2], net.layers[2].forward(res.post_mask[1]) * t)
     # unmasked layers pass through untouched
-    assert res.post_mask[1] is res.pre_mask[1]
+    assert res.act_masks[1] is None
+    assert np.array_equal(res.post_mask[1], net.layers[1].forward(res.post_mask[0]))
     assert res.logits is res.post_mask[-1]
 
 
@@ -132,3 +133,45 @@ def test_weight_density(rng):
     mask[:3] = 1.0
     net.layers[1].w.set_mask(mask)
     assert np.isclose(net.weight_density(), (30 + 100) / 200)
+
+
+def test_masks_context_restores_previous_config():
+    net = Network([L.flatten(), L.fc(6, 4), L.relu(), L.fc(4, 2)], (1, 2, 3))
+    outer = WinnerRateConfig(per_layer_rate={2: 0.5})
+    net.set_mask_cfg(outer)
+    with net.masks(None):
+        assert net.mask_cfg is None
+    assert net.mask_cfg is outer
+    with pytest.raises(RuntimeError):
+        with net.masks(WinnerRateConfig(per_layer_rate={1: 0.25})):
+            assert net.mask_cfg.per_layer_rate == {1: 0.25}
+            raise RuntimeError
+    assert net.mask_cfg is outer
+    # validated like set_mask_cfg, and a rejected config changes nothing
+    with pytest.raises(ConfigError, match="final layer"):
+        with net.masks(WinnerRateConfig(per_layer_rate={3: 0.5})):
+            pass
+    assert net.mask_cfg is outer
+
+
+def test_skip_state_is_released_after_forward(rng):
+    """The saved skip branch lives only within a forward, its gradient only
+    within a backward; the gradients equal a hand-written backward."""
+    net = Network([L.flatten(), L.fc(4, 4), L.skip_save(), L.fc(4, 4), L.skip_add(),
+                   L.fc(4, 3)], (1, 2, 2), dtype=np.float64, seed=1)
+    x = rng.standard_normal((5, 1, 2, 2))
+    labels = rng.integers(0, 3, size=5)
+    net.forward(x, mode="eval")
+    assert net._skip_state == {}
+    net.forward(x, mode="train")
+    assert net._skip_state == {}
+    _, _, _, res = loss_and_backward(net, x, labels)
+    assert net._skip_state == {}
+    w2, w3 = net.layers[3].w.value, net.layers[5].w.value
+    h1, h2 = res.post_mask[1], res.post_mask[4]
+    _, dlogits = softmax_cross_entropy(res.logits, labels)
+    dh2 = dlogits @ w3.T
+    dh1 = dh2 @ w2.T + dh2  # branch plus identity shortcut
+    expected = {5: h2.T @ dlogits, 3: h1.T @ dh2, 1: x.reshape(5, -1).T @ dh1}
+    for i, grad in expected.items():
+        np.testing.assert_allclose(net.layers[i].w.grad, grad, rtol=1e-12, atol=1e-15)

@@ -5,7 +5,7 @@ import pytest
 
 from jointprune.errors import ConfigError, DivergenceError
 from jointprune.optim import SGD, Adadelta, make_optimizer
-from jointprune.tensor import Param
+from jointprune.layers import Param
 
 from oracles import adadelta_scalar_reference
 

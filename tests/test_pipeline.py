@@ -13,7 +13,6 @@ from jointprune.pipeline import (
     HISTORY_HEADER,
     SensitivityCurve,
     TrainConfig,
-    accuracy,
     adjust_dropout,
     choose_winner_rates,
     evaluate,
@@ -64,7 +63,7 @@ def test_minibatches_cover_everything():
 
 def test_train_dense_learns():
     net, _ = _trained()
-    assert accuracy(net, _blobs(seed=2)) > 0.95
+    assert evaluate(net, _blobs(seed=2), mode="dense")[0] > 0.95
 
 
 def test_sensitivity_rate_one_drop_is_zero():
@@ -73,7 +72,7 @@ def test_sensitivity_rate_one_drop_is_zero():
     curve = sensitivity_sweep(net, val, rates=[0.25, 0.5, 1.0], layers=[2])
     pts = dict(curve.points[2])
     assert pts[1.0] == 0.0
-    assert curve.baseline_accuracy == accuracy(net, val)
+    assert curve.baseline_accuracy == evaluate(net, val, mode="dense")[0]
 
 
 def test_sensitivity_matches_independent_eval():
@@ -81,14 +80,15 @@ def test_sensitivity_matches_independent_eval():
     net, _ = _trained()
     val = _blobs(seed=3)
     curve = sensitivity_sweep(net, val, rates=[0.3, 0.6], layers=[2])
-    base = accuracy(net, val)
+    base, _ = evaluate(net, val, mode="dense")
     for rate, drop in curve.points[2]:
         net.set_mask_cfg(WinnerRateConfig(per_layer_rate={2: rate}))
-        masked_acc = accuracy(net, val)
+        masked_acc, _ = evaluate(net, val, mode="jp")
         net.set_mask_cfg(None)
         assert drop == base - masked_acc
     # sweeping must leave the network untouched
-    assert accuracy(net, val) == base
+    assert net.mask_cfg is None
+    assert evaluate(net, val, mode="dense")[0] == base
 
 
 def test_sensitivity_sweep_validation():
@@ -221,7 +221,10 @@ def test_evaluate_modes():
     net.set_mask_cfg(WinnerRateConfig(per_layer_rate={2: 0.25}))
     dense_acc, dense_stats = evaluate(net, val, mode="dense")
     jp_acc, jp_stats = evaluate(net, val, mode="jp", stat_layers=[2])
-    assert dense_acc == accuracy(net, val) or True  # accuracy() honours masks
+    assert net.mask_cfg.per_layer_rate == {2: 0.25}  # evaluate puts the config back
+    with net.masks(None):
+        logits = net.forward(val.images).logits
+    assert dense_acc == (logits.argmax(axis=1) == val.labels).mean()
     # jp keeps at most ceil(0.25*8)=2 of 8 hidden units per sample
     hidden = dict((i, frac) for i, _, frac in jp_stats.per_layer)
     assert hidden[2] <= 0.25
@@ -251,3 +254,21 @@ def test_train_config_validation():
         TrainConfig(finetune_epochs=-1)
     with pytest.raises(ConfigError):
         TrainConfig(base_dropout=1.0)
+
+
+def test_finetune_divergence_in_warmup_restores_entry_state():
+    """A finite net that diverges before any post-ramp snapshot comes back
+    exactly as it entered, not as the diverged weights."""
+    net, _ = _trained()
+    entry = [p.value.copy() for p in net.params()]
+    cfg = TrainConfig(optimizer="sgd", lr=1e6, momentum=0.9, lr_scale=1.0, batch_size=20,
+                      warmup_epochs=1, finetune_epochs=2, weight_target_density={1: 0.5},
+                      seed=0)
+    with np.errstate(all="ignore"):
+        history = joint_finetune(net, WinnerRateConfig(per_layer_rate={2: 0.5}),
+                                 cfg, _blobs(seed=1), _blobs(seed=2))
+    assert [row["phase"] for row in history] == ["aborted"]  # diverged in warm-up
+    for p, value in zip(net.params(), entry, strict=True):
+        assert p.value.tobytes() == value.tobytes(), p.name
+        assert p.mask is None
+    assert np.isfinite(net.forward(_blobs(seed=2).images).logits).all()

@@ -6,19 +6,20 @@ import pytest
 
 from jointprune.errors import ConfigError, ShapeError
 from jointprune.sparsity import (
-    ActivationMask,
     WinnerRateConfig,
-    apply_activation_mask,
-    predict_threshold,
     predicted_mask_batch,
     prune_weights_by_magnitude,
     select_winners_batch,
-    select_winners_exact,
     threshold_for_target_density,
     winner_count,
 )
 
-from oracles import topk_fullsort
+from oracles import subsample_threshold, topk_fullsort
+
+
+def _winners(acts, rate):
+    """One sample's exact winner mask: a batch of one."""
+    return select_winners_batch(np.asarray(acts)[None], rate)[0]
 
 
 def test_winner_count_values():
@@ -32,16 +33,14 @@ def test_winner_count_values():
 
 def test_rate_one_keeps_everything(rng):
     acts = rng.standard_normal(50)
-    m = select_winners_exact(acts, 1.0)
-    assert isinstance(m, ActivationMask)
-    assert m.winner_count == 50
-    assert np.array_equal(m.mask, np.ones(50))
+    m = _winners(acts, 1.0)
+    assert m.dtype == bool and m.shape == (50,)
+    assert m.all()
 
 
 def test_documented_example():
-    m = select_winners_exact(np.array([3.0, -5.0, 1.0, 0.5]), 0.5)
-    assert np.array_equal(m.mask, [1.0, 1.0, 0.0, 0.0])
-    assert m.winner_count == 2
+    m = _winners(np.array([3.0, -5.0, 1.0, 0.5]), 0.5)
+    assert np.array_equal(m, [True, True, False, False])
 
 
 def test_matches_fullsort_oracle_with_ties():
@@ -51,33 +50,37 @@ def test_matches_fullsort_oracle_with_ties():
         # quantize to force plenty of tied magnitudes
         acts = np.round(rng.standard_normal(n), 1)
         rate = float(rng.uniform(0.05, 0.9))
-        m = select_winners_exact(acts, rate)
-        got = set(np.flatnonzero(m.mask.reshape(-1)).tolist())
-        assert got == topk_fullsort(acts, m.winner_count), f"trial {trial}"
+        m = _winners(acts, rate)
+        k = winner_count(rate, n)
+        assert np.count_nonzero(m) == k, f"trial {trial}"
+        got = set(np.flatnonzero(m.reshape(-1)).tolist())
+        assert got == topk_fullsort(acts, k), f"trial {trial}"
 
 
 def test_magnitude_dominance(rng):
     acts = rng.standard_normal((4, 7, 9))
-    m = select_winners_exact(acts, 0.3)
+    m = _winners(acts, 0.3)
+    assert m.shape == acts.shape
     mag = np.abs(acts)
-    kept = mag[m.mask > 0]
-    dropped = mag[m.mask == 0]
+    kept = mag[m]
+    dropped = mag[~m]
     assert kept.min() >= dropped.max()
 
 
 def test_scale_equivariance(rng):
     acts = rng.standard_normal(200)
-    base = select_winners_exact(acts, 0.2).mask
+    base = _winners(acts, 0.2)
     for c in (3.0, -2.0, 1e-6):
-        assert np.array_equal(select_winners_exact(c * acts, 0.2).mask, base)
+        assert np.array_equal(_winners(c * acts, 0.2), base)
 
 
 def test_batch_rows_match_single(rng):
     acts = rng.standard_normal((6, 3, 5, 5))
     batch = select_winners_batch(acts, 0.25)
+    k = winner_count(0.25, 75)
     for i in range(6):
-        single = select_winners_exact(acts[i], 0.25)
-        assert np.array_equal(batch[i], single.mask)
+        assert np.array_equal(batch[i], _winners(acts[i], 0.25))
+        assert set(np.flatnonzero(batch[i]).tolist()) == topk_fullsort(acts[i], k)
 
 
 def test_batch_masks_are_bool_and_match_oracles():
@@ -98,7 +101,7 @@ def test_batch_masks_are_bool_and_match_oracles():
         k = winner_count(rate, n)
         for r in range(b):
             assert set(np.flatnonzero(exact[r]).tolist()) == topk_fullsort(acts[r], k)
-            theta = predict_threshold(acts[r], rate, 0.5, offset=trial % 2)
+            theta = subsample_threshold(acts[r], rate, 0.5, offset=trial % 2)
             assert np.array_equal(pred[r], np.abs(acts[r]) > theta)
         for t in (exact, pred):
             assert (acts * t).tobytes() == (acts * t.astype(acts.dtype)).tobytes()
@@ -106,19 +109,20 @@ def test_batch_masks_are_bool_and_match_oracles():
 
 def test_tie_break_prefers_lowest_index():
     acts = np.array([2.0, -2.0, 2.0, 1.0])
-    m = select_winners_exact(acts, 0.5)  # k = 2, three tied at |2|
-    assert np.array_equal(m.mask, [1.0, 1.0, 0.0, 0.0])
+    m = _winners(acts, 0.5)  # k = 2, three tied at |2|
+    assert np.array_equal(m, [True, True, False, False])
 
 
 def test_predict_threshold_eps_one_is_exact(rng):
     acts = rng.standard_normal(500)
     rate = 0.2
     k = winner_count(rate, 500)
-    theta = predict_threshold(acts, rate, 1.0)
+    theta = subsample_threshold(acts, rate, 1.0, 0)
     assert theta == np.sort(np.abs(acts))[::-1][k - 1]
     # strict |a| > theta keeps the exact winners except values tied at theta
-    exact = select_winners_exact(acts, rate).mask.astype(bool)
-    predicted = np.abs(acts) > theta
+    exact = _winners(acts, rate)
+    predicted = predicted_mask_batch(acts[None], rate, 1.0)[0]
+    assert np.array_equal(predicted, np.abs(acts) > theta)
     assert not np.any(predicted & ~exact)
     assert np.all(np.abs(acts[exact & ~predicted]) == theta)
 
@@ -149,19 +153,6 @@ def test_predicted_mask_deterministic(rng):
     a = predicted_mask_batch(acts, 0.15, 0.1, offset=4)
     b = predicted_mask_batch(acts, 0.15, 0.1, offset=4)
     assert np.array_equal(a, b)
-    # a different offset picks a different subsample (thresholds may differ)
-    theta_a = predict_threshold(acts[0], 0.15, 0.1, offset=0)
-    assert isinstance(theta_a, float)
-
-
-def test_apply_activation_mask(rng):
-    acts = rng.standard_normal((2, 8))
-    m = select_winners_batch(acts, 0.5)
-    out = apply_activation_mask(acts, m)
-    assert np.array_equal(out[m > 0], acts[m > 0])
-    assert np.all(out[m == 0] == 0.0)
-    with pytest.raises(ShapeError):
-        apply_activation_mask(acts, np.ones((2, 9)))
 
 
 # -- weight masks -----------------------------------------------------------
@@ -207,14 +198,10 @@ def test_quantile_threshold_with_ties():
 
 
 def test_bad_inputs_raise():
-    with pytest.raises(ConfigError):
-        select_winners_exact(np.ones(4), 0.0)
-    with pytest.raises(ConfigError):
-        select_winners_exact(np.ones(4), 1.5)
     with pytest.raises(ShapeError):
-        select_winners_exact(np.empty(0), 0.5)
+        select_winners_batch(np.empty((1, 0)), 0.5)
     with pytest.raises(ConfigError):
-        predict_threshold(np.ones(5), 0.5, 0.01)  # eps*N < 1
+        predicted_mask_batch(np.ones((1, 5)), 0.5, 0.01)  # eps*N < 1
     with pytest.raises(ConfigError):
         prune_weights_by_magnitude(np.ones(3), -0.1)
     with pytest.raises(ConfigError):

@@ -1,30 +1,11 @@
-"""Tensor/Param carriers: shape discipline, masking, density."""
+"""Param, the trainable array carrier of the layers: masking, density and
+the grad buffer."""
 
 import numpy as np
 import pytest
 
 from jointprune.errors import ShapeError
-from jointprune.tensor import Param, Tensor
-
-
-def test_tensor_basic():
-    t = Tensor(np.arange(6).reshape(2, 3))
-    assert t.shape == (2, 3) and t.size == 6
-    assert t.grad is None
-    assert "2, 3" in repr(t)
-
-
-def test_tensor_grad_shape_checked():
-    with pytest.raises(ShapeError, match="grad shape"):
-        Tensor(np.zeros((2, 3)), grad=np.zeros((3, 2)))
-    t = Tensor(np.zeros(4), grad=np.ones(4))
-    assert np.array_equal(t.grad, np.ones(4))
-
-
-def test_tensor_check_finite():
-    Tensor(np.ones(3)).check_finite()
-    with pytest.raises(ShapeError, match="non-finite"):
-        Tensor(np.array([1.0, np.nan])).check_finite("acts")
+from jointprune.layers import Param
 
 
 def test_param_mask_zeroes_values():
