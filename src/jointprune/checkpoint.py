@@ -58,9 +58,13 @@ def _param_names(net):
 
 
 def checkpoint_from_network(net, mask_cfg=None, meta=None):
+    """Snapshot a network; a non-finite param raises ``CheckpointError``, so
+    no diverged network can be saved."""
     cfg = mask_cfg if mask_cfg is not None else net.mask_cfg
     params, masks = {}, {}
     for name, p in _param_names(net):
+        if not np.isfinite(p.value).all():
+            raise CheckpointError(f"param {name} holds non-finite values; refusing to save it")
         params[name] = p.value
         if p.mask is not None:
             masks[name] = p.mask

@@ -1,14 +1,20 @@
 """Layer set for the small sequential networks used in the experiments.
 
-Everything runs on numpy in NCHW layout.  A train-mode forward caches
-what the layer's backward pass needs, so a layer instance serves one
-forward/backward pair at a time (the network is mutated by a single
-writer); an eval-mode forward keeps no backward state.
+Everything runs on numpy, with NCHW arrays between layers.  A train-mode
+forward caches what the layer's backward pass needs, so a layer instance
+serves one forward/backward pair at a time (the network is mutated by a
+single writer); an eval-mode forward keeps no backward state.
 
-Conv uses an im2col expansion.  Pooling reduces the k*k strided window
-offsets of the padded input one at a time, in (i, j) row-major order, with
-no window tensor.  Naive nested-loop references live in the test suite and
-must agree exactly at f64.
+Conv lowers to a (C*k*k, B*oh*ow) im2col buffer, filled straight from the
+unpadded input with each kernel tap clipped to the output positions that
+read real input.  Forward runs one GEMM per sample over its column block;
+backward computes ``dw`` in one GEMM over all columns and scatters ``dx``
+back through the matching clipped col2im.  The effective-MAC counter uses
+the same im2col.  Pooling reduces the k*k strided window taps of a padded
+copy one at a time, in (i, j) row-major order, with no window tensor;
+overlapping windows work on a channels-last copy.  Nested-loop,
+padded-im2col and NCHW-tap references live in the test suite and must
+agree exactly at f64 (byte for byte where the arithmetic is unchanged).
 """
 
 from __future__ import annotations
@@ -92,33 +98,47 @@ def _pool_geometry(h, w, window, stride, pad):
     return oh, ow
 
 
-def _im2col(xp, kh, kw, stride, oh, ow):
-    """(B, C, Hp, Wp) -> (B, C, kh, kw, oh, ow) window view copies."""
-    b, c, _, _ = xp.shape
-    cols = np.empty((b, c, kh, kw, oh, ow), dtype=xp.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, i, j] = xp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride]
-    return cols
+def _tap_span(n_in, n_out, off, s):
+    """Output positions [lo, hi) whose input index o*s + off lies in
+    [0, n_in), and the input slice they read."""
+    lo = max(0, -(off // s))
+    hi = max(lo, min(n_out, (n_in - 1 - off) // s + 1))
+    first = lo * s + off
+    return slice(lo, hi), slice(first, first + s * (hi - lo), s)
 
 
-def _col2im(dcols, xp_shape, kh, kw, stride, oh, ow):
-    """Scatter-add the inverse of :func:`_im2col`."""
-    dxp = np.zeros(xp_shape, dtype=dcols.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            dxp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride] += dcols[:, :, i, j]
-    return dxp
+def _conv_taps(h, w, oh, ow, k, s, p):
+    """Per kernel tap (i, j), row-major: the output window clipped to the
+    positions that read the unpadded input, and the input rows and columns
+    they read (empty for a tap that sees only padding)."""
+    for i in range(k):
+        ys, rows = _tap_span(h, oh, i - p, s)
+        for j in range(k):
+            xs, cols = _tap_span(w, ow, j - p, s)
+            yield i, j, (ys, xs), (rows, cols)
 
 
-def _pad(x, p, value=0.0):
-    if not p:
-        return x
-    return np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)), constant_values=value)
+def _im2col(x, k, s, p, oh, ow):
+    """(B, C, H, W) -> (C*k*k, B*oh*ow) window copies: row (c, i, j),
+    column (b, y, x).  Entries that fall on the zero padding stay zero."""
+    b, c, h, w = x.shape
+    cols = np.zeros((c, k, k, b, oh, ow), dtype=x.dtype)
+    xt = np.ascontiguousarray(x.transpose(1, 0, 2, 3))
+    for i, j, out_win, in_win in _conv_taps(h, w, oh, ow, k, s, p):
+        cols[(slice(None), i, j, slice(None)) + out_win] = xt[(Ellipsis,) + in_win]
+    return cols.reshape(c * k * k, b * oh * ow)
 
 
-def _unpad(xp, p):
-    return xp[:, :, p:-p, p:-p] if p else xp
+def _col2im(dcols, x_shape, k, s, p):
+    """Scatter-add the inverse of :func:`_im2col` into a (B, C, H, W)
+    array; taps add in (i, j) row-major order and padding is dropped."""
+    b, c, h, w = x_shape
+    oh, ow = _pool_geometry(h, w, k, s, p)
+    dc = dcols.reshape(c, k, k, b, oh, ow)
+    dxt = np.zeros((c, b, h, w), dtype=dcols.dtype)
+    for i, j, out_win, in_win in _conv_taps(h, w, oh, ow, k, s, p):
+        dxt[(Ellipsis,) + in_win] += dc[(slice(None), i, j, slice(None)) + out_win]
+    return np.ascontiguousarray(dxt.transpose(1, 0, 2, 3))
 
 
 class Param:
@@ -232,31 +252,38 @@ class Conv2d(Layer):
         k, s, p = g["kernel"], g["stride"], g["pad"]
         b = x.shape[0]
         _, oh, ow = self.out_shape(x.shape[1:])
-        xp = _pad(x, p)
-        cols2 = _im2col(xp, k, k, s, oh, ow).reshape(b, -1, oh * ow)
-        w2 = self.w.value.reshape(g["out_ch"], -1)
-        out = np.matmul(w2[None], cols2).reshape(b, g["out_ch"], oh, ow)
-        out += self.b.value[None, :, None, None]
-        # cols2 is k*k times the input: only a train forward keeps it
-        self._cache = (xp.shape, cols2) if train else None
-        return out
+        cols = _im2col(x, k, s, p, oh, ow)
+        # one GEMM per sample over its column block writes NCHW directly; a
+        # single w2 @ cols would need a transposing copy of its result,
+        # which costs more than the GEMM on wide few-channel layers
+        out = np.matmul(self.w.value.reshape(g["out_ch"], -1),
+                        cols.reshape(-1, b, oh * ow).transpose(1, 0, 2))
+        out += self.b.value[:, None]
+        # cols is k*k times the input: only a train forward keeps it
+        self._cache = (x.shape, cols) if train else None
+        return out.reshape(b, g["out_ch"], oh, ow)
 
     def backward(self, dout):
         g = self.spec.geometry
-        k, s, p = g["kernel"], g["stride"], g["pad"]
-        xp_shape, cols2 = self._cache
-        b, _, oh, ow = dout.shape
-        dout2 = dout.reshape(b, g["out_ch"], oh * ow)
-        dw2 = np.matmul(dout2, cols2.transpose(0, 2, 1)).sum(axis=0)
-        self.w.grad = dw2.reshape(self.w.value.shape)
+        x_shape, cols = self._cache
+        dout2 = dout.transpose(1, 0, 2, 3).reshape(g["out_ch"], -1)
+        self.w.grad = (dout2 @ cols.T).reshape(self.w.value.shape)
         self.b.grad = dout.sum(axis=(0, 2, 3))
-        w2 = self.w.value.reshape(g["out_ch"], -1)
-        dcols2 = np.matmul(w2.T[None], dout2)
-        dcols = dcols2.reshape(b, g["in_ch"], k, k, oh, ow)
-        return _unpad(_col2im(dcols, xp_shape, k, k, s, oh, ow), p)
+        dcols = self.w.value.reshape(g["out_ch"], -1).T @ dout2
+        return _col2im(dcols, x_shape, g["kernel"], g["stride"], g["pad"])
 
 
 class _Pool(Layer):
+    """Pooling reduces the k*k strided window taps of a padded copy of the
+    input one at a time, in (i, j) row-major order, with no window tensor.
+
+    Overlapping windows (stride < window) work channels-last: the copy is
+    (H + 2p, W + 2p, B, C), so every tap pass runs over contiguous B*C
+    rows, and the k*k passes repay the transposes in and out.  Other
+    windows work in NCHW, where those transposes would cost more than the
+    few taps they speed up.
+    """
+
     pad_value = 0.0
 
     def out_shape(self, in_shape):
@@ -268,19 +295,49 @@ class _Pool(Layer):
             raise ShapeError(f"{self.kind} geometry {g} yields empty output for input {in_shape}")
         return (in_shape[0], oh, ow)
 
+    @property
+    def _channels_last(self):
+        g = self.spec.geometry
+        return g["stride"] < g["window"]
+
+    def _layout(self, a):
+        """NCHW <-> the working layout (the transpose is its own inverse)."""
+        return a.transpose(2, 3, 0, 1) if self._channels_last else a
+
+    def _hw(self, rows, cols):
+        """Index of a spatial window in the working layout."""
+        return (rows, cols) if self._channels_last else (Ellipsis, rows, cols)
+
     def _padded(self, x):
+        """The working-layout copy of an NCHW input, padded with ``pad_value``."""
         self.out_shape(x.shape[1:])  # raises ShapeError on an empty output
-        return _pad(x, self.spec.geometry["pad"], self.pad_value)
+        p = self.spec.geometry["pad"]
+        if not (p or self._channels_last):
+            return x
+        b, c, h, w = x.shape
+        hp, wp = h + 2 * p, w + 2 * p
+        shape = (hp, wp, b, c) if self._channels_last else (b, c, hp, wp)
+        xp = np.full(shape, self.pad_value, dtype=x.dtype)
+        xp[self._hw(slice(p, p + h), slice(p, p + w))] = self._layout(x)
+        return xp
 
     def _taps(self, xp):
-        """Strided views of a padded array, one per window offset (i, j) in
-        row-major order; view (i, j) holds element (i, j) of every window."""
+        """Strided views of a padded working-layout array, one per window
+        offset (i, j) in row-major order; view (i, j) holds element (i, j)
+        of every window."""
         g = self.spec.geometry
         k, s = g["window"], g["stride"]
-        oh = (xp.shape[2] - k) // s + 1
-        ow = (xp.shape[3] - k) // s + 1
-        return [xp[:, :, i : i + s * oh : s, j : j + s * ow : s]
+        hp, wp = self._layout(xp).shape[2:]
+        oh = (hp - k) // s + 1
+        ow = (wp - k) // s + 1
+        return [xp[self._hw(slice(i, i + s * oh, s), slice(j, j + s * ow, s))]
                 for i in range(k) for j in range(k)]
+
+    def _nchw(self, a, p):
+        """The NCHW copy of a working-layout array, cropped by ``p``."""
+        hp, wp = self._layout(a).shape[2:]
+        inner = a[self._hw(slice(p, hp - p), slice(p, wp - p))]
+        return np.ascontiguousarray(self._layout(inner))
 
 
 class MaxPool2d(_Pool):
@@ -296,19 +353,23 @@ class MaxPool2d(_Pool):
             # so the running max keeps the first maximal value, as argmax did
             np.maximum(t, out, out=out)
         self._cache = (xp, out) if train else None
-        return out
+        return self._nchw(out, 0)
 
     def backward(self, dout):
         """Route each gradient to the first maximal window position."""
         xp, out = self._cache
+        bits = np.ascontiguousarray(self._layout(dout)).view(f"u{dout.itemsize}")
         dxp = np.zeros(xp.shape, dtype=dout.dtype)
         free = np.ones(out.shape, dtype=bool)
         for t, dt in zip(self._taps(xp), self._taps(dxp)):
             hit = t == out
             hit &= free
             free ^= hit
-            dt += np.where(hit, dout, 0)
-        return _unpad(dxp, self.spec.geometry["pad"])
+            # the gradient on a hit, +0.0 elsewhere, as np.where(hit, dout, 0)
+            # gives it but without a branch per element: the bit pattern
+            # times 0 or 1
+            dt += np.multiply(bits, hit, dtype=bits.dtype).view(dout.dtype)
+        return self._nchw(dxp, self.spec.geometry["pad"])
 
 
 class AvgPool2d(_Pool):
@@ -322,15 +383,15 @@ class AvgPool2d(_Pool):
             out += t
         out /= len(taps)
         self._cache = xp.shape if train else None
-        return out
+        return self._nchw(out, 0)
 
     def backward(self, dout):
         dxp = np.zeros(self._cache, dtype=dout.dtype)
         taps = self._taps(dxp)
-        share = dout / len(taps)
+        share = np.ascontiguousarray(self._layout(dout)) / len(taps)
         for dt in taps:
             dt += share
-        return _unpad(dxp, self.spec.geometry["pad"])
+        return self._nchw(dxp, self.spec.geometry["pad"])
 
 
 class ReLU(Layer):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, JointPruneError
-from .layers import _im2col, _pad
+from .layers import _im2col
 from .sparsity import winner_count
 
 try:
@@ -120,8 +120,8 @@ def _effective_macs_conv(x, layer, wmask):
     _, oh, ow = layer.out_shape(x.shape[1:])
     # per input position, the samples where it is nonzero; then one
     # batch-1 im2col gives each (element, output position) pair's count
-    nz = _pad(np.count_nonzero(x, axis=0).astype(np.int64)[None], p)
-    cols = _im2col(nz, k, k, s, oh, ow).reshape(-1, oh * ow)
+    nz = np.count_nonzero(x, axis=0).astype(np.int64)[None]
+    cols = _im2col(nz, k, s, p, oh, ow)
     per_elem = np.count_nonzero(wmask.reshape(g["out_ch"], -1), axis=0)
     return int(per_elem @ cols.sum(axis=1))
 

@@ -102,6 +102,8 @@ def evaluate(net, split, mode="jp", stat_layers=None, batch_size=500):
     cfg = net.mask_cfg
     if mode == "jp" and cfg is None:
         raise ConfigError("jp mode requires a winner-rate config on the network")
+    if len(split) == 0:
+        raise ConfigError(f"cannot evaluate on an empty {split.role} split")
     if stat_layers is None:
         stat_layers = sorted(cfg.per_layer_rate) if cfg else []
     last = len(net.layers) - 1
@@ -258,7 +260,8 @@ def joint_finetune(net, mask_cfg, cfg, train_split, val_split):
     once per epoch; weight masks only ever shrink.  On divergence the last
     good state is restored: the best post-ramp snapshot, or else the state
     on entry.  Returns the history; the network ends at the best validation
-    accuracy seen after the ramp completed.
+    accuracy seen after the ramp completed.  Raises ``DivergenceError``
+    instead when the state it would end on holds non-finite params.
     """
     targets = cfg.weight_target_density or {}
     net.set_mask_cfg(mask_cfg)
@@ -305,6 +308,8 @@ def joint_finetune(net, mask_cfg, cfg, train_split, val_split):
             best = (entry, None)
     if best[0] is not None:
         _restore(net, best[0])
+    if not all(np.isfinite(p.value).all() for p in net.params()):
+        raise DivergenceError("finetuning ends on non-finite params: no finite state to restore")
     return history
 
 

@@ -64,6 +64,104 @@ def avgpool_naive(x, window, stride, pad):
     return out
 
 
+def _pad_nchw(x, pad, value=0.0):
+    return np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)), constant_values=value)
+
+
+def _window_taps(xp, window, stride, oh, ow):
+    """Strided views of a padded NCHW array, one per window offset (i, j),
+    row-major; view (i, j) holds element (i, j) of every window."""
+    return [xp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride]
+            for i in range(window) for j in range(window)]
+
+
+def conv2d_padded_im2col(x, w, b, stride, pad):
+    """Convolution through a padded im2col: np.pad and one window copy per
+    tap, arranged as the library's (C*k*k, B*oh*ow) columns, then the
+    library's GEMM calls (one per sample over its column block) and the
+    bias.  BLAS picks its kernels by operand shape and stride (a strided
+    one-output-channel block becomes a strided gemv), so only the same calls
+    give the same bytes; any difference lies in the lowering."""
+    bsz, cin = x.shape[:2]
+    cout, _, k, _ = w.shape
+    oh = (x.shape[2] + 2 * pad - k) // stride + 1
+    ow = (x.shape[3] + 2 * pad - k) // stride + 1
+    taps = _window_taps(_pad_nchw(x, pad), k, stride, oh, ow)
+    cols = np.stack(taps, axis=2).reshape(bsz, cin * k * k, oh * ow).transpose(1, 0, 2)
+    cols = np.ascontiguousarray(cols).reshape(cin * k * k, bsz * oh * ow)
+    out = np.matmul(w.reshape(cout, -1), cols.reshape(-1, bsz, oh * ow).transpose(1, 0, 2))
+    out += b[:, None]
+    return out.reshape(bsz, cout, oh, ow)
+
+
+def conv2d_padded_col2im(x_shape, w, dout, stride, pad):
+    """Input gradient through the library's single ``w2.T @ dout2`` GEMM,
+    scattered back tap by tap into a zeroed padded buffer that is then
+    cropped."""
+    bsz, cin, h, wid = x_shape
+    cout, _, k, _ = w.shape
+    _, _, oh, ow = dout.shape
+    dout2 = dout.transpose(1, 0, 2, 3).reshape(cout, -1)
+    dcols = (w.reshape(cout, -1).T @ dout2).reshape(cin, k, k, bsz, oh, ow)
+    dxp = np.zeros((bsz, cin, h + 2 * pad, wid + 2 * pad), dtype=dcols.dtype)
+    for (i, j), dt in zip(np.ndindex(k, k), _window_taps(dxp, k, stride, oh, ow)):
+        dt += dcols[:, i, j].transpose(1, 0, 2, 3)
+    return dxp[:, :, pad : pad + h, pad : pad + wid]
+
+
+def maxpool_taps(x, window, stride, pad):
+    """Running np.maximum over the window taps of the -inf padded input; on
+    a tie the earlier tap's value stays (np.maximum returns its second
+    operand)."""
+    xp = _pad_nchw(x, pad, -np.inf)
+    oh = (xp.shape[2] - window) // stride + 1
+    ow = (xp.shape[3] - window) // stride + 1
+    taps = _window_taps(xp, window, stride, oh, ow)
+    out = taps[0].copy()
+    for t in taps[1:]:
+        np.maximum(t, out, out=out)
+    return out
+
+
+def maxpool_backward_taps(x, dout, window, stride, pad):
+    """Each gradient goes to the first tap equal to the window max, added as
+    ``np.where(hit, dout, 0)`` into a zeroed padded buffer."""
+    _, _, h, w = x.shape
+    xp = _pad_nchw(x, pad, -np.inf)
+    oh, ow = dout.shape[2:]
+    out = maxpool_taps(x, window, stride, pad)
+    dxp = np.zeros(xp.shape, dtype=dout.dtype)
+    free = np.ones(out.shape, dtype=bool)
+    for t, dt in zip(_window_taps(xp, window, stride, oh, ow),
+                     _window_taps(dxp, window, stride, oh, ow)):
+        hit = (t == out) & free
+        free &= ~hit
+        dt += np.where(hit, dout, 0)
+    return dxp[:, :, pad : pad + h, pad : pad + w]
+
+
+def avgpool_taps(x, window, stride, pad):
+    """Tap sum from +0.0 over the zero padded input, divided by k*k."""
+    xp = _pad_nchw(x, pad)
+    oh = (xp.shape[2] - window) // stride + 1
+    ow = (xp.shape[3] - window) // stride + 1
+    taps = _window_taps(xp, window, stride, oh, ow)
+    out = taps[0] + 0.0
+    for t in taps[1:]:
+        out += t
+    return out / len(taps)
+
+
+def avgpool_backward_taps(x, dout, window, stride, pad):
+    _, _, h, w = x.shape
+    dxp = np.zeros((x.shape[0], x.shape[1], h + 2 * pad, w + 2 * pad), dtype=dout.dtype)
+    oh, ow = dout.shape[2:]
+    share = dout / window**2
+    for dt in _window_taps(dxp, window, stride, oh, ow):
+        dt += share
+    return dxp[:, :, pad : pad + h, pad : pad + w]
+
+
 def topk_fullsort(acts, k):
     """Winner index set via a full magnitude sort, lowest index first on ties."""
     flat = np.abs(np.asarray(acts)).reshape(-1)

@@ -128,3 +128,11 @@ def test_winner_cfg_dict_round_trip():
     assert cfg.per_layer_rate == {2: 0.25}
     assert cfg.downsample_rate == 1.0
     assert cfg.selection_mode == "exact_topk"
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_param_is_never_saved(tmp_path, bad):
+    net = _small_net()
+    net.layers[0].b.value[1] = bad
+    with pytest.raises(CheckpointError, match="non-finite"):
+        checkpoint_from_network(net)

@@ -1,11 +1,14 @@
 """End-to-end CLI runs on a small MNIST subset."""
 
+import struct
+
 import numpy as np
 import pytest
 
-from jointprune.checkpoint import load_checkpoint
+from jointprune.checkpoint import checkpoint_from_network, load_checkpoint, save_checkpoint
 from jointprune.cli import main
 from jointprune.metrics import read_report
+from jointprune.models import get_preset
 
 
 @pytest.fixture(scope="module")
@@ -163,3 +166,27 @@ def test_cli_malformed_value_names_key_path(tmp_path, capsys):
     cfg = _config(tmp_path, tmp_path, "train: {lr: abc}\n")
     assert main(["train-dense", cfg]) == 1
     _one_line_error(capsys, "train.lr", "'abc'")
+
+
+def _write_mnist(data_dir, prefix, n, rng):
+    """IDX image and label files holding ``n`` random 28x28 digits."""
+    images = rng.integers(0, 256, size=(n, 28, 28), dtype=np.uint8)
+    (data_dir / f"{prefix}-images-idx3-ubyte").write_bytes(
+        struct.pack(">IIII", 2051, n, 28, 28) + images.tobytes())
+    labels = rng.integers(0, 10, size=n, dtype=np.uint8)
+    (data_dir / f"{prefix}-labels-idx1-ubyte").write_bytes(
+        struct.pack(">II", 2049, n) + labels.tobytes())
+
+
+def test_cli_eval_on_empty_test_split_is_one_line_error(tmp_path, capsys, rng):
+    data = tmp_path / "data"
+    data.mkdir()
+    _write_mnist(data, "train", 20, rng)
+    _write_mnist(data, "t10k", 0, rng)
+    ckpt = tmp_path / "dense.ckpt"
+    save_checkpoint(checkpoint_from_network(get_preset("mlp3").build()), ckpt)
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text(f"model: mlp3\ndata: {{dir: {data}, val_size: 5}}\n"
+                   f"outputs: {tmp_path / 'out'}\n")
+    assert main(["eval", str(cfg), "--checkpoint", str(ckpt), "--mode", "dense"]) == 1
+    _one_line_error(capsys, "empty test split")

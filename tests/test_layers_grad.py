@@ -11,11 +11,17 @@ from jointprune.sparsity import WinnerRateConfig
 
 from oracles import (
     avgpool_backward_naive,
+    avgpool_backward_taps,
     avgpool_naive,
+    avgpool_taps,
     central_diff_grad,
     conv2d_naive,
+    conv2d_padded_col2im,
+    conv2d_padded_im2col,
     maxpool_backward_naive,
+    maxpool_backward_taps,
     maxpool_naive,
+    maxpool_taps,
 )
 
 
@@ -109,6 +115,124 @@ def test_pool_backward_matches_naive(rng):
             dout = rng.integers(-3, 4, size=out.shape).astype(np.float64) * scale
             dx = layer.backward(dout)
             assert np.array_equal(dx, bwd(x, dout, k, stride, pad)), f"trial {trial} {spec.__name__}"
+
+
+def _special(rng, shape, dtype):
+    """Normals with integer ties, +-0.0, NaN and +-inf mixed in."""
+    x = rng.standard_normal(shape)
+    u = rng.random(shape)
+    x[u < 0.2] = np.round(x[u < 0.2])
+    for lo, value in ((0.2, 0.0), (0.25, -0.0), (0.3, np.nan), (0.32, np.inf), (0.34, -np.inf)):
+        x[(u >= lo) & (u < lo + 0.02 + 0.03 * (value == 0))] = value
+    return x.astype(dtype)
+
+
+def _same_bits(a, b):
+    """Same dtype, shape and bytes, except that where both hold a NaN its
+    sign and payload may differ: numpy's contiguous and strided loops do
+    not promise which NaN an operation returns."""
+    a, b = np.asarray(a), np.asarray(b)
+    nan = np.isnan(a)
+    return (a.dtype == b.dtype and a.shape == b.shape and np.array_equal(nan, np.isnan(b))
+            and np.where(nan, 0, a).tobytes() == np.where(nan, 0, b).tobytes())
+
+
+def _has_pad_only_tap(h, w, k, s, p):
+    oh, ow = (h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1
+    rows = [any(0 <= y * s + i - p < h for y in range(oh)) for i in range(k)]
+    cols = [any(0 <= x * s + j - p < w for x in range(ow)) for j in range(k)]
+    return not (all(rows) and all(cols))
+
+
+def _conv_geometries(rng, n, k_max=5, c_max=4, hw_max=11):
+    """(b, c, h, w, cout, k, stride, pad): three fixed cases (one channel,
+    stride 3 and two of three row taps on padding only; stride 2 with
+    pad > k/2), then random ones with pad up to k + 1."""
+    yield from [(2, 1, 1, 1, 2, 3, 3, 2), (3, 3, 7, 5, 4, 5, 2, 3), (2, 1, 6, 6, 3, 3, 1, 1)]
+    while n > 3:
+        k = int(rng.integers(1, k_max + 1))
+        s, p = int(rng.integers(1, 4)), int(rng.integers(0, k + 2))
+        h, w = (int(v) for v in rng.integers(1, hw_max + 1, size=2))
+        if h + 2 * p < k or w + 2 * p < k:
+            continue
+        n -= 1
+        yield (int(rng.integers(1, 4)), int(rng.integers(1, c_max + 1)), h, w,
+               int(rng.integers(1, 5)), k, s, p)
+
+
+def test_conv_matches_padded_im2col_bytewise(rng):
+    """Forward and input gradient equal the padded-im2col oracle byte for
+    byte at f32 and f64, NaN, inf and signed zeros included: the clipped
+    window copies and col2im agree with np.pad plus full windows."""
+    seen = set()
+    with np.errstate(invalid="ignore", over="ignore"):
+        for trial, (b, c, h, w, cout, k, s, p) in enumerate(_conv_geometries(rng, 150)):
+            seen |= {("stride>1", s > 1), ("pad>=k/2", 2 * p >= k), ("one channel", c == 1),
+                     ("pad-only tap", _has_pad_only_tap(h, w, k, s, p))}
+            for dtype in (np.float32, np.float64):
+                layer = L.build_layer(L.conv2d(c, cout, k, s, p), np.random.default_rng(trial),
+                                      dtype, {})
+                layer.b.value = rng.standard_normal(cout).astype(dtype)
+                x = _special(rng, (b, c, h, w), dtype)
+                out = layer.forward(x, train=True)
+                ref = conv2d_padded_im2col(x, layer.w.value, layer.b.value, s, p)
+                assert _same_bits(out, ref), (trial, dtype)
+                dout = _special(rng, out.shape, dtype)
+                dx = layer.backward(dout)
+                ref = conv2d_padded_col2im(x.shape, layer.w.value, dout, s, p)
+                assert _same_bits(dx, ref), (trial, dtype)
+    assert {case for case, hit in seen if hit} == {
+        "stride>1", "pad>=k/2", "one channel", "pad-only tap"}
+
+
+def test_conv_weight_grad_matches_naive_finite_differences(rng):
+    """dw sums the batch inside one GEMM; it must match central differences
+    of the nested-loop convolution within the gradient-check tolerance."""
+    for trial, (b, c, h, w, cout, k, s, p) in enumerate(
+            _conv_geometries(rng, 25, k_max=3, c_max=2, hw_max=6)):
+        layer = L.build_layer(L.conv2d(c, cout, k, s, p), np.random.default_rng(trial),
+                              np.float64, {})
+        x = rng.standard_normal((b, c, h, w))
+        g = rng.standard_normal(layer.forward(x, train=True).shape)
+        layer.backward(g)
+        indices = list(np.ndindex(layer.w.shape))
+        if len(indices) > 12:
+            indices = [indices[i] for i in rng.choice(len(indices), 12, replace=False)]
+
+        def f():
+            return float((conv2d_naive(x, layer.w.value, layer.b.value, s, p) * g).sum())
+
+        fd = central_diff_grad(f, layer.w, indices)
+        got = np.array([layer.w.grad[i] for i in indices])
+        assert np.max(np.abs(got - fd) / np.maximum(np.abs(fd), 1e-3)) < 1e-4, trial
+
+
+def test_pool_kernels_match_tap_oracle_bytewise(rng):
+    """Max and avg pool forward and backward equal the NCHW padded-tap
+    oracles byte for byte at f32 and f64, in both working layouts (stride <
+    window runs channels-last), with ties, NaN, inf and signed zeros in the
+    input and in the gradient."""
+    layouts = set()
+    with np.errstate(invalid="ignore"):
+        for trial in range(160):
+            k = int(rng.integers(1, 5))
+            s, p = int(rng.integers(1, 5)), int(rng.integers(0, k + 1))
+            h, w = (int(v) for v in rng.integers(1, 11, size=2))
+            if h + 2 * p < k or w + 2 * p < k:
+                continue
+            layouts.add(s < k)
+            shape = (int(rng.integers(1, 4)), int(rng.integers(1, 5)), h, w)
+            for dtype in (np.float32, np.float64):
+                for spec, fwd, bwd in ((L.maxpool, maxpool_taps, maxpool_backward_taps),
+                                       (L.avgpool, avgpool_taps, avgpool_backward_taps)):
+                    layer = L.build_layer(spec(k, s, p), None, dtype, {})
+                    x = _special(rng, shape, dtype)
+                    out = layer.forward(x, train=True)
+                    assert _same_bits(out, fwd(x, k, s, p)), trial
+                    dout = _special(rng, out.shape, dtype)
+                    dx = layer.backward(dout)
+                    assert _same_bits(dx, bwd(x, dout, k, s, p)), trial
+    assert layouts == {True, False}
 
 
 def test_leaky_relu_matches_where_form_bitwise(rng):

@@ -6,7 +6,7 @@ import pytest
 
 from jointprune import layers as L
 from jointprune.datasets import DatasetSplit
-from jointprune.errors import ConfigError
+from jointprune.errors import ConfigError, DivergenceError
 from jointprune.models import get_preset
 from jointprune.network import Network
 from jointprune.pipeline import (
@@ -201,16 +201,6 @@ def test_finetune_seed_reproducibility():
     assert np.array_equal(w1, w2)
 
 
-def test_finetune_divergence_restores_state():
-    net, _ = _trained()
-    net.layers[1].w.value[0, 0] = np.nan
-    cfg = TrainConfig(optimizer="sgd", lr=0.3, batch_size=20, warmup_epochs=1,
-                      finetune_epochs=2, weight_target_density={1: 0.5}, seed=0)
-    history = joint_finetune(net, WinnerRateConfig(per_layer_rate={2: 0.5}),
-                             cfg, _blobs(seed=1), _blobs(seed=2))
-    assert history[-1]["phase"] == "aborted"
-
-
 def test_evaluate_modes():
     net, _ = _trained()
     val = _blobs(seed=2)
@@ -272,3 +262,24 @@ def test_finetune_divergence_in_warmup_restores_entry_state():
         assert p.value.tobytes() == value.tobytes(), p.name
         assert p.mask is None
     assert np.isfinite(net.forward(_blobs(seed=2).images).logits).all()
+
+
+def test_finetune_from_nan_entry_state_raises():
+    """A net that is non-finite on entry diverges at once and has no good
+    state to restore: finetuning raises instead of returning the NaN net
+    (history ``['aborted']``) for the caller to save."""
+    net, _ = _trained()
+    net.layers[1].w.value[0, 0] = np.nan
+    cfg = TrainConfig(optimizer="sgd", lr=0.3, batch_size=20, warmup_epochs=1,
+                      finetune_epochs=2, weight_target_density={1: 0.5}, seed=0)
+    with np.errstate(all="ignore"), pytest.raises(DivergenceError, match="non-finite"):
+        joint_finetune(net, WinnerRateConfig(per_layer_rate={2: 0.5}),
+                       cfg, _blobs(seed=1), _blobs(seed=2))
+
+
+def test_evaluate_empty_split_raises():
+    net, _ = _trained()
+    empty = _blobs(seed=2).subset(np.arange(0), "test")
+    for mode in ("dense", "wp_only"):
+        with pytest.raises(ConfigError, match="empty test split"):
+            evaluate(net, empty, mode=mode)
