@@ -22,7 +22,9 @@ version is rejected, never coerced.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -90,7 +92,7 @@ def checkpoint_from_network(net, mask_cfg=None, meta=None):
 def network_from_checkpoint(ckpt):
     specs = [LayerSpec(d["kind"], dict(d["geometry"])) for d in ckpt.arch]
     net = Network(specs, ckpt.input_shape, dtype=np.dtype(ckpt.dtype),
-                  seed=ckpt.meta.get("seed", 0))
+                  seed=ckpt.meta.get("seed", 0), init=False)
     for name, p in _param_names(net):
         if name not in ckpt.params:
             raise CheckpointError(f"checkpoint missing param {name}")
@@ -117,7 +119,9 @@ def winner_cfg_from_dict(d):
     )
 
 
-def _pack_payload(ckpt):
+def _payload_parts(ckpt):
+    """The payload as a list of byte buffers; param values are views, not
+    copies."""
     meta_doc = {
         "arch": ckpt.arch,
         "input_shape": list(ckpt.input_shape),
@@ -139,23 +143,44 @@ def _pack_payload(ckpt):
         out.append(dt)
         out.append(struct.pack("<B", value.ndim))
         out.append(struct.pack(f"<{value.ndim}I", *value.shape))
-        out.append(value.tobytes())
+        out.append(value.reshape(-1).view(np.uint8))
         mask = ckpt.masks.get(name)
         if mask is None:
             out.append(b"\x00")
         else:
             out.append(b"\x01")
-            out.append(np.packbits(mask.astype(bool).reshape(-1)).tobytes())
-    return b"".join(out)
+            out.append(np.packbits(mask.astype(bool).reshape(-1)))
+    return out
 
 
 def save_checkpoint(ckpt, path):
-    payload = _pack_payload(ckpt)
-    header = MAGIC + struct.pack("<BB", VERSION, 0)
-    header += struct.pack("<I", zlib.crc32(payload))
-    header += struct.pack("<Q", len(payload))
-    with open(path, "wb") as f:
-        f.write(header + payload)
+    """Write ``ckpt`` to ``path`` atomically: the bytes go to a temp file
+    next to it, which is closed and then renamed over ``path``, so a save
+    that fails or is interrupted leaves the old file or the new one, never a
+    half-written one.  An ``OSError`` becomes ``CheckpointError`` and the
+    temp file is removed.
+
+    There is no fsync: its latency follows the disk's other traffic (tails
+    of 15-28 ms against a 3 ms round trip on leaky6).  After a power loss,
+    ext4's rename-over-existing ordering still shows the old file or the
+    new one; on a filesystem without it, the length and CRC checks make
+    ``load_checkpoint`` reject a torn file."""
+    parts = _payload_parts(ckpt)
+    crc = length = 0
+    for part in parts:
+        crc = zlib.crc32(part, crc)
+        length += len(part)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(MAGIC + struct.pack("<BBIQ", VERSION, 0, crc, length))
+            for part in parts:
+                f.write(part)
+        os.replace(tmp, path)
+    except OSError as e:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise CheckpointError(f"{path}: cannot write checkpoint: {e.strerror or e}") from e
 
 
 def load_checkpoint(path):
@@ -167,7 +192,7 @@ def load_checkpoint(path):
     if version != VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
     crc, length = struct.unpack_from("<IQ", blob, 8)
-    payload = blob[20:]
+    payload = memoryview(blob)[20:]
     if len(payload) != length:
         raise CheckpointError(f"{path}: truncated payload ({len(payload)} of {length} bytes)")
     if zlib.crc32(payload) != crc:
@@ -184,15 +209,15 @@ def load_checkpoint(path):
         return chunk
 
     (meta_len,) = struct.unpack("<I", take(4))
-    meta_doc = json.loads(take(meta_len))
+    meta_doc = json.loads(bytes(take(meta_len)))
     params, masks = {}, {}
     for name in meta_doc["param_order"]:
         (name_len,) = struct.unpack("<H", take(2))
-        stored = take(name_len).decode()
+        stored = str(take(name_len), "utf-8")
         if stored != name:
             raise CheckpointError(f"{path}: param order mismatch ({stored!r} != {name!r})")
         (dt_len,) = struct.unpack("<B", take(1))
-        dtype = np.dtype(take(dt_len).decode())
+        dtype = np.dtype(str(take(dt_len), "utf-8"))
         (ndim,) = struct.unpack("<B", take(1))
         shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
         value = np.frombuffer(take(int(np.prod(shape)) * dtype.itemsize), dtype=dtype)

@@ -5,16 +5,21 @@ forward caches what the layer's backward pass needs, so a layer instance
 serves one forward/backward pair at a time (the network is mutated by a
 single writer); an eval-mode forward keeps no backward state.
 
-Conv lowers to a (C*k*k, B*oh*ow) im2col buffer, filled straight from the
+Conv lowers to (C*k*k, B, oh*ow) im2col columns, filled straight from the
 unpadded input with each kernel tap clipped to the output positions that
-read real input.  Forward runs one GEMM per sample over its column block;
-backward computes ``dw`` in one GEMM over all columns and scatters ``dx``
-back through the matching clipped col2im.  The effective-MAC counter uses
-the same im2col.  Pooling reduces the k*k strided window taps of a padded
-copy one at a time, in (i, j) row-major order, with no window tensor;
-overlapping windows work on a channels-last copy.  Nested-loop,
-padded-im2col and NCHW-tap references live in the test suite and must
-agree exactly at f64 (byte for byte where the arithmetic is unchanged).
+read real input.  Forward runs one GEMM per sample over its column block.
+A train forward lowers and keeps the whole batch's columns; an eval forward
+streams the batch through one bounded column buffer (``EVAL_COLS_BYTES``),
+a block of samples at a time, with the same GEMM calls and so the same
+bytes.  Backward computes ``dw`` in one GEMM over all columns and scatters
+``dx`` back through the matching clipped col2im; the first weight layer of
+a network skips ``dx``.  The effective-MAC counter uses the same im2col.
+
+Pooling reduces the k*k strided window taps of a padded copy one at a
+time, in (i, j) row-major order, with no window tensor; overlapping
+windows work on a channels-last copy.  Nested-loop, padded-im2col and
+NCHW-tap references live in the test suite and must agree exactly at f64
+(byte for byte where the arithmetic is unchanged).
 """
 
 from __future__ import annotations
@@ -118,15 +123,19 @@ def _conv_taps(h, w, oh, ow, k, s, p):
             yield i, j, (ys, xs), (rows, cols)
 
 
-def _im2col(x, k, s, p, oh, ow):
-    """(B, C, H, W) -> (C*k*k, B*oh*ow) window copies: row (c, i, j),
-    column (b, y, x).  Entries that fall on the zero padding stay zero."""
+def _im2col(x, k, s, p, oh, ow, buf=None):
+    """(B, C, H, W) -> (C*k*k, B, oh*ow) window copies: row (c, i, j),
+    column (b, y*ow + x).  Entries that fall on the zero padding are never
+    written, so ``buf``, a zeroed (C, k, k, B', oh, ow) array with B' >= B,
+    can be refilled block after block; its first B samples are returned.
+    Without ``buf`` the columns get a zeroed buffer of their own."""
     b, c, h, w = x.shape
-    cols = np.zeros((c, k, k, b, oh, ow), dtype=x.dtype)
+    if buf is None:
+        buf = np.zeros((c, k, k, b, oh, ow), dtype=x.dtype)
     xt = np.ascontiguousarray(x.transpose(1, 0, 2, 3))
     for i, j, out_win, in_win in _conv_taps(h, w, oh, ow, k, s, p):
-        cols[(slice(None), i, j, slice(None)) + out_win] = xt[(Ellipsis,) + in_win]
-    return cols.reshape(c * k * k, b * oh * ow)
+        buf[(slice(None), i, j, slice(b)) + out_win] = xt[(Ellipsis,) + in_win]
+    return buf.reshape(c * k * k, -1, oh * ow)[:, :b]
 
 
 def _col2im(dcols, x_shape, k, s, p):
@@ -139,6 +148,30 @@ def _col2im(dcols, x_shape, k, s, p):
     for i, j, out_win, in_win in _conv_taps(h, w, oh, ow, k, s, p):
         dxt[(Ellipsis,) + in_win] += dc[(slice(None), i, j, slice(None)) + out_win]
     return np.ascontiguousarray(dxt.transpose(1, 0, 2, 3))
+
+
+# Byte budget of the im2col column buffer of an eval-mode conv forward,
+# which lowers the batch a block of samples at a time.  Whole-batch columns
+# run to hundreds of MB at batch 500 (196 MB for lenet4's conv2), and then
+# page faults and cache misses, not the GEMM, set the eval speed.
+EVAL_COLS_BYTES = 4 << 20
+
+
+def _sample_gemms(w2, cols, out=None):
+    """One GEMM per sample over its (C*k*k, oh*ow) column block, written as
+    (B, out_ch, oh*ow).  A single GEMM over all columns would need a
+    transposing copy of its result, which costs more than the GEMM on wide
+    few-channel layers."""
+    return np.matmul(w2, cols.transpose(1, 0, 2), out=out)
+
+
+def _uniform_init(rng, shape, fan_in, dtype):
+    """He-uniform weights, U(-sqrt(6/fan_in), sqrt(6/fan_in)); zeros without
+    an rng, for a network whose params are about to be loaded."""
+    if rng is None:
+        return np.zeros(shape, dtype=dtype)
+    limit = np.sqrt(6.0 / fan_in)
+    return rng.uniform(-limit, limit, shape).astype(dtype)
 
 
 class Param:
@@ -178,7 +211,8 @@ class Param:
 
 class Layer:
     """Every layer kind is built as ``cls(spec, rng, dtype, skip_state)``;
-    ``skip_state`` is the network's dict shared by skip_save/skip_add."""
+    ``skip_state`` is the network's dict shared by skip_save/skip_add, and
+    a None ``rng`` leaves the weights at zero."""
 
     kind = None
 
@@ -203,8 +237,7 @@ class Dense(Layer):
     def __init__(self, spec, rng, dtype, skip_state):
         super().__init__(spec, rng, dtype, skip_state)
         n_in, n_out = spec.geometry["n_in"], spec.geometry["n_out"]
-        limit = np.sqrt(6.0 / n_in)
-        self.w = Param("w", rng.uniform(-limit, limit, (n_in, n_out)).astype(dtype))
+        self.w = Param("w", _uniform_init(rng, (n_in, n_out), n_in, dtype))
         self.b = Param("b", np.zeros(n_out, dtype=dtype))
         self.params = [self.w, self.b]
 
@@ -219,10 +252,10 @@ class Dense(Layer):
         self._x = x if train else None
         return x @ self.w.value + self.b.value
 
-    def backward(self, dout):
+    def backward(self, dout, input_grad=True):
         self.w.grad = self._x.T @ dout
         self.b.grad = dout.sum(axis=0)
-        return dout @ self.w.value.T
+        return dout @ self.w.value.T if input_grad else None
 
 
 class Conv2d(Layer):
@@ -231,10 +264,9 @@ class Conv2d(Layer):
     def __init__(self, spec, rng, dtype, skip_state):
         super().__init__(spec, rng, dtype, skip_state)
         g = spec.geometry
-        kh = kw = g["kernel"]
-        fan_in = g["in_ch"] * kh * kw
-        limit = np.sqrt(6.0 / fan_in)
-        self.w = Param("w", rng.uniform(-limit, limit, (g["out_ch"], g["in_ch"], kh, kw)).astype(dtype))
+        k = g["kernel"]
+        self.w = Param("w", _uniform_init(rng, (g["out_ch"], g["in_ch"], k, k),
+                                          g["in_ch"] * k * k, dtype))
         self.b = Param("b", np.zeros(g["out_ch"], dtype=dtype))
         self.params = [self.w, self.b]
 
@@ -252,23 +284,34 @@ class Conv2d(Layer):
         k, s, p = g["kernel"], g["stride"], g["pad"]
         b = x.shape[0]
         _, oh, ow = self.out_shape(x.shape[1:])
-        cols = _im2col(x, k, s, p, oh, ow)
-        # one GEMM per sample over its column block writes NCHW directly; a
-        # single w2 @ cols would need a transposing copy of its result,
-        # which costs more than the GEMM on wide few-channel layers
-        out = np.matmul(self.w.value.reshape(g["out_ch"], -1),
-                        cols.reshape(-1, b, oh * ow).transpose(1, 0, 2))
+        w2 = self.w.value.reshape(g["out_ch"], -1)
+        # an eval forward streams the batch through a bounded column buffer
+        # of at least two samples: one sample's contiguous columns would give
+        # BLAS another row stride than the whole batch's, and a one-channel
+        # layer's gemv rounds differently on it
+        step = b if train else max(2, EVAL_COLS_BYTES // (w2.shape[1] * oh * ow * x.itemsize))
+        if step >= b:
+            cols = _im2col(x, k, s, p, oh, ow)
+            out = _sample_gemms(w2, cols)
+        else:
+            out = np.empty((b, g["out_ch"], oh * ow), dtype=np.result_type(w2, x))
+            buf = np.zeros((x.shape[1], k, k, step, oh, ow), dtype=x.dtype)
+            for lo in range(0, b, step):
+                cols = _im2col(x[lo:lo + step], k, s, p, oh, ow, buf)
+                _sample_gemms(w2, cols, out=out[lo:lo + step])
         out += self.b.value[:, None]
-        # cols is k*k times the input: only a train forward keeps it
-        self._cache = (x.shape, cols) if train else None
+        # the columns are k*k times the input: only a train forward keeps them
+        self._cache = (x.shape, cols.reshape(len(cols), -1)) if train else None
         return out.reshape(b, g["out_ch"], oh, ow)
 
-    def backward(self, dout):
+    def backward(self, dout, input_grad=True):
         g = self.spec.geometry
         x_shape, cols = self._cache
         dout2 = dout.transpose(1, 0, 2, 3).reshape(g["out_ch"], -1)
         self.w.grad = (dout2 @ cols.T).reshape(self.w.value.shape)
         self.b.grad = dout.sum(axis=(0, 2, 3))
+        if not input_grad:
+            return None
         dcols = self.w.value.reshape(g["out_ch"], -1).T @ dout2
         return _col2im(dcols, x_shape, g["kernel"], g["stride"], g["pad"])
 
@@ -416,8 +459,14 @@ class LeakyReLU(Layer):
         return np.maximum(x, slope * x)
 
     def backward(self, dout):
-        slope = self.spec.geometry.get("slope", 0.1)
-        return np.where(self._pos, dout, slope * dout)
+        """The bits of np.where(pos, dout, slope * dout), selected without a
+        branch per element: (low ^ dout) * pos ^ low on unsigned views."""
+        low = self.spec.geometry.get("slope", 0.1) * dout
+        uint = f"u{dout.itemsize}"
+        sel = low.view(uint) ^ dout.view(uint)
+        np.multiply(sel, self._pos, out=sel)
+        sel ^= low.view(uint)
+        return sel.view(dout.dtype)
 
 
 class Dropout(Layer):

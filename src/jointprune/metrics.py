@@ -123,7 +123,7 @@ def _effective_macs_conv(x, layer, wmask):
     nz = np.count_nonzero(x, axis=0).astype(np.int64)[None]
     cols = _im2col(nz, k, s, p, oh, ow)
     per_elem = np.count_nonzero(wmask.reshape(g["out_ch"], -1), axis=0)
-    return int(per_elem @ cols.sum(axis=1))
+    return int(per_elem @ cols.sum(axis=(1, 2)))
 
 
 def count_effective_macs(net, batch):

@@ -36,15 +36,20 @@ class ForwardResult:
 
 
 class Network:
-    def __init__(self, specs, input_shape, dtype=np.float32, seed=0):
+    def __init__(self, specs, input_shape, dtype=np.float32, seed=0, init=True):
+        """Weights are drawn from ``seed``; with ``init=False`` they start at
+        zero, for a network whose params are about to be loaded."""
         self.specs = list(specs)
         self.input_shape = tuple(input_shape)
         self.dtype = np.dtype(dtype)
         self.seed = seed
         self._skip_state = {}
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(seed) if init else None
         self.layers = [build_layer(s, rng, self.dtype, self._skip_state) for s in self.specs]
         self.layer_shapes = self._resolve_shapes()
+        # backward ends at the first layer with params: no gradient below
+        # it is ever read
+        self._grad_floor = next((i for i, layer in enumerate(self.layers) if layer.params), None)
         self.mask_cfg = None
         self._act_masks = None  # set by a train-mode forward only
 
@@ -160,6 +165,8 @@ class Network:
         Gradients crossing a masked layer output are multiplied by that
         layer's winner mask, and gradients of statically masked-out weights
         are forced to exact zero.  Needs a train-mode :meth:`forward` first.
+        Returns None: the first weight layer's input gradient feeds no param,
+        so neither it nor any layer below it runs.
         """
         if self._act_masks is None:
             raise ConfigError("backward needs a train-mode forward")
@@ -168,11 +175,13 @@ class Network:
             t = self._act_masks[i]
             if t is not None:
                 dout = dout * t
+            if i == self._grad_floor:
+                self.layers[i].backward(dout, input_grad=False)
+                break
             dout = self.layers[i].backward(dout)
         for p in self.params():
             if p.mask is not None:
                 p.grad *= p.mask
-        return dout
 
 
 def softmax_cross_entropy(logits, labels):

@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 
+from jointprune import checkpoint as ckpt_io
 from jointprune import layers as L
 from jointprune.checkpoint import (
     MAGIC,
@@ -136,3 +137,63 @@ def test_non_finite_param_is_never_saved(tmp_path, bad):
     net.layers[0].b.value[1] = bad
     with pytest.raises(CheckpointError, match="non-finite"):
         checkpoint_from_network(net)
+
+
+class _HalfWriter:
+    """A file whose write stores half of the bytes, then fails."""
+
+    def __init__(self, f):
+        self._f = f
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._f.close()
+
+    def write(self, data):
+        self._f.write(data[: len(data) // 2])
+        raise OSError(28, "No space left on device")
+
+
+class _FailingCloser(_HalfWriter):
+    """A file whose writes succeed but whose close fails, as when buffered
+    bytes reach a full disk."""
+
+    def __exit__(self, *exc):
+        self._f.close()
+        raise OSError(28, "No space left on device")
+
+    def write(self, data):
+        return self._f.write(data)
+
+
+def _fail_replace(src, dst):
+    raise OSError(18, "Invalid cross-device link")
+
+
+@pytest.mark.parametrize("fault", ["write", "close", "replace"])
+def test_failed_save_keeps_previous_file(tmp_path, monkeypatch, fault):
+    """A save that fails part-way raises CheckpointError, leaves the file it
+    would replace byte-identical and leaves no temp file behind."""
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(checkpoint_from_network(_small_net(seed=1)), path)
+    before = path.read_bytes()
+    if fault == "write":
+        monkeypatch.setattr(ckpt_io, "open", lambda p, mode: _HalfWriter(open(p, mode)),
+                            raising=False)
+    elif fault == "close":
+        monkeypatch.setattr(ckpt_io, "open", lambda p, mode: _FailingCloser(open(p, mode)),
+                            raising=False)
+    else:
+        monkeypatch.setattr(ckpt_io.os, "replace", _fail_replace)
+    with pytest.raises(CheckpointError, match="cannot write checkpoint"):
+        save_checkpoint(checkpoint_from_network(_small_net(seed=2)), path)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ckpt"]
+
+
+def test_save_into_missing_directory_is_checkpoint_error(tmp_path):
+    with pytest.raises(CheckpointError, match="cannot write checkpoint"):
+        save_checkpoint(checkpoint_from_network(_small_net()), tmp_path / "no" / "m.ckpt")

@@ -1,6 +1,8 @@
 """Forward-pass examples, conv/pool naive-loop oracles and finite-difference
 gradient checks for every layer kind."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -185,6 +187,70 @@ def test_conv_matches_padded_im2col_bytewise(rng):
         "stride>1", "pad>=k/2", "one channel", "pad-only tap"}
 
 
+def _counted(monkeypatch, name):
+    """Wrap ``layers.<name>`` so that its calls are counted."""
+    calls = []
+    fn = getattr(L, name)
+    monkeypatch.setattr(L, name, lambda *a, **kw: calls.append(1) or fn(*a, **kw))
+    return calls
+
+
+def test_eval_conv_blocks_match_train_forward_bytewise(rng, monkeypatch):
+    """An eval forward that streams the batch through a bounded column
+    buffer gives the bytes of the train forward and of the padded-im2col
+    oracle, at f32 and f64 with NaN, inf and signed zeros: blocks of two and
+    three samples, ragged remainders of one and two, and a one-byte budget
+    (which still lowers two samples at a time)."""
+    blocks = _counted(monkeypatch, "_im2col")
+    seen = set()
+    with np.errstate(invalid="ignore", over="ignore"):
+        for trial, (_, c, h, w, cout, k, s, p) in enumerate(_conv_geometries(rng, 60)):
+            b = int(rng.integers(3, 8))
+            for dtype in (np.float32, np.float64):
+                layer = L.build_layer(L.conv2d(c, cout, k, s, p), np.random.default_rng(trial),
+                                      dtype, {})
+                layer.b.value = rng.standard_normal(cout).astype(dtype)
+                x = _special(rng, (b, c, h, w), dtype)
+                ref = layer.forward(x, train=True)
+                assert _same_bits(ref, conv2d_padded_im2col(x, layer.w.value, layer.b.value, s, p))
+                sample_bytes = c * k * k * ref.shape[2] * ref.shape[3] * x.itemsize
+                for budget, step in ((1, 2), (2 * sample_bytes, 2), (3 * sample_bytes + 1, 3)):
+                    monkeypatch.setattr(L, "EVAL_COLS_BYTES", budget)
+                    del blocks[:]
+                    out = layer.forward(x)
+                    assert len(blocks) == -(-b // step), (trial, budget)
+                    assert _same_bits(out, ref), (trial, dtype, budget)
+                    seen.add((step, b % step))
+    assert seen >= {(2, 0), (2, 1), (3, 0), (3, 1), (3, 2)}
+
+
+def test_eval_conv_whole_batch_in_one_block_is_one_lowering(rng):
+    """A batch whose columns fit the budget (batch-1 serving, for one)
+    takes the single-lowering path; a train forward always does."""
+    layer = L.build_layer(L.conv2d(20, 50, 5, 1, 2), rng, np.float32, {})
+    for b, train in ((1, False), (2, False), (50, True)):
+        x = rng.standard_normal((b, 20, 14, 14)).astype(np.float32)
+        with pytest.MonkeyPatch.context() as mp:
+            blocks = _counted(mp, "_im2col")
+            layer.forward(x, train=train)
+        assert len(blocks) == 1, (b, train)
+
+
+def test_eval_conv_peak_memory_is_bounded(rng):
+    """A batch-500 eval forward of lenet4's conv2 (20->50, 5x5, pad 2,
+    14x14 input) allocates the output and at most about one column budget,
+    not the 196 MB of whole-batch columns."""
+    layer = L.build_layer(L.conv2d(20, 50, 5, 1, 2), rng, np.float32, {})
+    x = rng.standard_normal((500, 20, 14, 14)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        out = layer.forward(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < out.nbytes + 2 * L.EVAL_COLS_BYTES, peak
+
+
 def test_conv_weight_grad_matches_naive_finite_differences(rng):
     """dw sums the batch inside one GEMM; it must match central differences
     of the nested-loop convolution within the gradient-check tolerance."""
@@ -236,16 +302,26 @@ def test_pool_kernels_match_tap_oracle_bytewise(rng):
 
 
 def test_leaky_relu_matches_where_form_bitwise(rng):
-    x = np.concatenate([rng.standard_normal(200), [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324]])
-    for dtype in (np.float32, np.float64):
-        xs = x.astype(dtype)
-        dout = np.concatenate([rng.standard_normal(200), [-0.0, 0.0, 1.0, -1.0, -0.0, 2.0]])
-        dout = dout.astype(dtype)
-        for slope in (0.1, 0.3, 0.99):
-            layer = L.build_layer(L.leaky_relu(slope), None, dtype, {})
-            out = layer.forward(xs, train=True)
-            assert out.tobytes() == np.where(xs > 0, xs, slope * xs).tobytes()
-            assert layer.backward(dout).tobytes() == np.where(xs > 0, dout, slope * dout).tobytes()
+    """Forward and the branch-free backward give the bytes of the np.where
+    forms, NaN and inf in the input and in the gradient included."""
+    x = np.concatenate([rng.standard_normal(200), [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324,
+                                                   np.nan, 1.0, -1.0, 2.0, -2.0, 3.0]])
+    dout = np.concatenate([rng.standard_normal(200), [-0.0, 0.0, 1.0, -1.0, -0.0, 2.0, 1.0,
+                                                      np.nan, np.nan, np.inf, -np.inf, -np.inf]])
+    batch = (8, 4, 6, 6)
+    cases = [(x, dout), (rng.standard_normal(batch), _special(rng, batch, np.float64)),
+             (_special(rng, batch, np.float64), _special(rng, batch, np.float64))]
+    with np.errstate(invalid="ignore"):
+        for dtype in (np.float32, np.float64):
+            for xs, ds in cases:
+                xs, ds = xs.astype(dtype), ds.astype(dtype)
+                for slope in (0.1, 0.3, 0.99):
+                    layer = L.build_layer(L.leaky_relu(slope), None, dtype, {})
+                    out = layer.forward(xs, train=True)
+                    assert out.tobytes() == np.where(xs > 0, xs, slope * xs).tobytes()
+                    dx = layer.backward(ds)
+                    assert dx.dtype == dtype and dx.shape == xs.shape
+                    assert dx.tobytes() == np.where(xs > 0, ds, slope * ds).tobytes()
 
 
 def test_forward_determinism(rng):

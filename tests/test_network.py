@@ -175,3 +175,27 @@ def test_skip_state_is_released_after_forward(rng):
     expected = {5: h2.T @ dlogits, 3: h1.T @ dh2, 1: x.reshape(5, -1).T @ dh1}
     for i, grad in expected.items():
         np.testing.assert_allclose(net.layers[i].w.grad, grad, rtol=1e-12, atol=1e-15)
+
+
+def test_backward_skips_first_weight_layer_input_gradient(rng, monkeypatch):
+    """No gradient below the first weight layer is read: a conv layer 0
+    runs no col2im, and a first fc layer (after a flatten) computes no dx."""
+    scattered = []
+    col2im = L._col2im
+    monkeypatch.setattr(L, "_col2im", lambda dcols, x_shape, *geometry: (
+        scattered.append(x_shape) or col2im(dcols, x_shape, *geometry)))
+    net = Network([L.conv2d(1, 2, 3, 1, 1), L.relu(), L.conv2d(2, 3, 3, 1, 1),
+                   L.flatten(), L.fc(48, 4)], (1, 4, 4), dtype=np.float64)
+    loss_and_backward(net, rng.standard_normal((3, 1, 4, 4)), [0, 1, 3])
+    assert scattered == [(3, 2, 4, 4)]  # layer 2's dx only
+    assert net.backward(np.ones((3, 4))) is None
+
+    net = Network([L.flatten(), L.fc(12, 5), L.relu(), L.fc(5, 3)], (1, 3, 4))
+    input_grads = []
+    for layer in (net.layers[1], net.layers[3]):
+        backward = layer.backward
+        layer.backward = lambda dout, backward=backward, **kw: (
+            input_grads.append(backward(dout, **kw)) or input_grads[-1])
+    loss_and_backward(net, rng.standard_normal((2, 1, 3, 4)), [0, 2])
+    assert input_grads[0].shape == (2, 5) and input_grads[1] is None
+    assert all(np.abs(p.grad).sum() > 0 for p in net.params())
