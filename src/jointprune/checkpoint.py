@@ -90,9 +90,9 @@ def checkpoint_from_network(net, mask_cfg=None, meta=None):
 
 
 def network_from_checkpoint(ckpt):
-    specs = [LayerSpec(d["kind"], dict(d["geometry"])) for d in ckpt.arch]
-    net = Network(specs, ckpt.input_shape, dtype=np.dtype(ckpt.dtype),
-                  seed=ckpt.meta.get("seed", 0), init=False)
+    """A network holding its own writeable copy of each checkpoint param."""
+    specs = [LayerSpec(d["kind"], d["geometry"]) for d in ckpt.arch]
+    net = Network(specs, ckpt.input_shape, dtype=np.dtype(ckpt.dtype), init=False)
     for name, p in _param_names(net):
         if name not in ckpt.params:
             raise CheckpointError(f"checkpoint missing param {name}")
@@ -184,6 +184,7 @@ def save_checkpoint(ckpt, path):
 
 
 def load_checkpoint(path):
+    """Read and verify a checkpoint; param values are read-only views of its bytes."""
     with open(path, "rb") as f:
         blob = f.read()
     if len(blob) < 20 or blob[:6] != MAGIC:
@@ -221,7 +222,7 @@ def load_checkpoint(path):
         (ndim,) = struct.unpack("<B", take(1))
         shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
         value = np.frombuffer(take(int(np.prod(shape)) * dtype.itemsize), dtype=dtype)
-        params[name] = value.reshape(shape).copy()
+        params[name] = value.reshape(shape)
         (has_mask,) = struct.unpack("<B", take(1))
         if has_mask:
             nbits = int(np.prod(shape))

@@ -31,7 +31,6 @@ class Experiment:
     rate_grid: list
     tolerable_drop: float
     out_dir: str
-    raw: dict
 
     def load_data(self):
         """Returns (train, val, test) splits prepared for the model."""
@@ -135,5 +134,4 @@ def load_experiment(path):
                       [0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 1.0]),
         tolerable_drop=_as(float, doc, "prune.tolerable_drop", 0.01),
         out_dir=_get(doc, "outputs", os.path.join("runs", model)),
-        raw=doc,
     )

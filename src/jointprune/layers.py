@@ -7,13 +7,14 @@ single writer); an eval-mode forward keeps no backward state.
 
 Conv lowers to (C*k*k, B, oh*ow) im2col columns, filled straight from the
 unpadded input with each kernel tap clipped to the output positions that
-read real input.  Forward runs one GEMM per sample over its column block.
-A train forward lowers and keeps the whole batch's columns; an eval forward
-streams the batch through one bounded column buffer (``EVAL_COLS_BYTES``),
-a block of samples at a time, with the same GEMM calls and so the same
-bytes.  Backward computes ``dw`` in one GEMM over all columns and scatters
-``dx`` back through the matching clipped col2im; the first weight layer of
-a network skips ``dx``.  The effective-MAC counter uses the same im2col.
+read real input.  Forward is one loop over blocks of samples: each block is
+lowered into one zeroed column buffer, and one GEMM per sample writes its
+(out_ch, oh*ow) slice of the output.  A train forward's block is the whole
+batch, whose columns it keeps; an eval forward's block is bounded by
+``EVAL_COLS_BYTES``, so a large batch streams through the buffer.
+Backward computes ``dw`` in one GEMM over all columns and scatters ``dx``
+back through the matching clipped col2im; the first weight layer of a
+network skips ``dx``.  The effective-MAC counter uses the same im2col.
 
 Pooling reduces the k*k strided window taps of a padded copy one at a
 time, in (i, j) row-major order, with no window tensor; overlapping
@@ -157,14 +158,6 @@ def _col2im(dcols, x_shape, k, s, p):
 EVAL_COLS_BYTES = 4 << 20
 
 
-def _sample_gemms(w2, cols, out=None):
-    """One GEMM per sample over its (C*k*k, oh*ow) column block, written as
-    (B, out_ch, oh*ow).  A single GEMM over all columns would need a
-    transposing copy of its result, which costs more than the GEMM on wide
-    few-channel layers."""
-    return np.matmul(w2, cols.transpose(1, 0, 2), out=out)
-
-
 def _uniform_init(rng, shape, fan_in, dtype):
     """He-uniform weights, U(-sqrt(6/fan_in), sqrt(6/fan_in)); zeros without
     an rng, for a network whose params are about to be loaded."""
@@ -188,10 +181,6 @@ class Param:
         self.value = np.asarray(value)
         self.grad = np.zeros_like(self.value)
         self.mask = None
-
-    @property
-    def shape(self):
-        return self.value.shape
 
     def set_mask(self, mask):
         mask = np.asarray(mask, dtype=self.value.dtype)
@@ -285,20 +274,19 @@ class Conv2d(Layer):
         b = x.shape[0]
         _, oh, ow = self.out_shape(x.shape[1:])
         w2 = self.w.value.reshape(g["out_ch"], -1)
-        # an eval forward streams the batch through a bounded column buffer
-        # of at least two samples: one sample's contiguous columns would give
-        # BLAS another row stride than the whole batch's, and a one-channel
-        # layer's gemv rounds differently on it
-        step = b if train else max(2, EVAL_COLS_BYTES // (w2.shape[1] * oh * ow * x.itemsize))
-        if step >= b:
-            cols = _im2col(x, k, s, p, oh, ow)
-            out = _sample_gemms(w2, cols)
-        else:
-            out = np.empty((b, g["out_ch"], oh * ow), dtype=np.result_type(w2, x))
-            buf = np.zeros((x.shape[1], k, k, step, oh, ow), dtype=x.dtype)
-            for lo in range(0, b, step):
-                cols = _im2col(x[lo:lo + step], k, s, p, oh, ow, buf)
-                _sample_gemms(w2, cols, out=out[lo:lo + step])
+        # an eval block holds at least two samples (or the whole batch): one
+        # sample's contiguous columns give BLAS another row stride than the
+        # whole batch's, on which a one-channel layer's gemv rounds otherwise
+        budget = EVAL_COLS_BYTES // (w2.shape[1] * oh * ow * x.itemsize)
+        step = b if train else min(b, max(2, budget))
+        out = np.empty((b, g["out_ch"], oh * ow), dtype=np.result_type(w2, x))
+        buf = np.zeros((x.shape[1], k, k, step, oh, ow), dtype=x.dtype)
+        for lo in range(0, b, step):
+            cols = _im2col(x[lo:lo + step], k, s, p, oh, ow, buf)
+            # one GEMM per sample: a single GEMM over all columns would need a
+            # transposing copy of its result, which costs more than the GEMM
+            # on wide few-channel layers
+            np.matmul(w2, cols.transpose(1, 0, 2), out=out[lo:lo + step])
         out += self.b.value[:, None]
         # the columns are k*k times the input: only a train forward keeps them
         self._cache = (x.shape, cols.reshape(len(cols), -1)) if train else None

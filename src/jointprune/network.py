@@ -37,12 +37,11 @@ class ForwardResult:
 
 class Network:
     def __init__(self, specs, input_shape, dtype=np.float32, seed=0, init=True):
-        """Weights are drawn from ``seed``; with ``init=False`` they start at
-        zero, for a network whose params are about to be loaded."""
-        self.specs = list(specs)
+        """Owns copies of ``specs``.  Weights are drawn from ``seed``, or are
+        zero with ``init=False``, for a network whose params are then loaded."""
+        self.specs = [LayerSpec(s.kind, dict(s.geometry)) for s in specs]
         self.input_shape = tuple(input_shape)
         self.dtype = np.dtype(dtype)
-        self.seed = seed
         self._skip_state = {}
         rng = np.random.default_rng(seed) if init else None
         self.layers = [build_layer(s, rng, self.dtype, self._skip_state) for s in self.specs]
@@ -199,30 +198,26 @@ def softmax_cross_entropy(logits, labels):
 
 
 def l1_penalty(net, alpha):
-    """alpha * sum|w| over surviving weights (biases excluded)."""
+    """alpha * sum|w| over surviving weights (biases excluded): pruned ones are ±0."""
     if alpha == 0.0:
         return 0.0
     total = 0.0
     for _, p in net.weight_params():
-        w = p.value if p.mask is None else p.value * p.mask
-        total += np.abs(w).sum()
+        total += np.abs(p.value).sum()
     return float(alpha * total)
 
 
-def loss_and_backward(net, x, labels, alpha=0.0, rng=None, mode="train"):
-    """Forward in ``mode``, then full backward with the l1 weight term.
+def loss_and_backward(net, x, labels, alpha=0.0, rng=None):
+    """Train-mode forward, then full backward with the l1 weight term.
 
-    Returns ``(total_loss, ce_loss, l1_loss, result)``; the reported total
-    is exactly ce + l1.  Gradients land in the params' grad buffers.
+    Returns ``(total_loss, ce_loss, l1_loss)``; the reported total is
+    exactly ce + l1.  Gradients land in the params' grad buffers.
     """
-    result = net.forward(x, mode=mode, rng=rng)
-    ce, dlogits = softmax_cross_entropy(result.logits, labels)
+    logits = net.forward(x, mode="train", rng=rng).logits
+    ce, dlogits = softmax_cross_entropy(logits, labels)
     net.backward(dlogits)
     l1 = l1_penalty(net, alpha)
     if alpha:
         for _, p in net.weight_params():
-            g = alpha * np.sign(p.value)
-            if p.mask is not None:
-                g *= p.mask
-            p.grad += g.astype(p.grad.dtype)
-    return ce + l1, ce, l1, result
+            p.grad += alpha * np.sign(p.value)
+    return ce + l1, ce, l1

@@ -19,6 +19,7 @@ from .optim import make_optimizer
 from .sparsity import WinnerRateConfig, prune_weights_by_magnitude, threshold_for_target_density
 
 log = logging.getLogger(__name__)
+EVAL_BATCH = 500  # samples per evaluation forward
 
 
 @dataclass
@@ -77,8 +78,8 @@ def run_epoch(net, opt, split, cfg, rng, alpha=0.0):
     totals = np.zeros(3)
     batches = 0
     for idx in minibatches(len(split), cfg.batch_size, rng):
-        total, ce, l1, _ = loss_and_backward(
-            net, split.images[idx], split.labels[idx], alpha=alpha, rng=rng, mode="train"
+        total, ce, l1 = loss_and_backward(
+            net, split.images[idx], split.labels[idx], alpha=alpha, rng=rng
         )
         if not math.isfinite(total):
             raise DivergenceError(f"loss became non-finite ({total})")
@@ -88,7 +89,7 @@ def run_epoch(net, opt, split, cfg, rng, alpha=0.0):
     return tuple(totals / max(1, batches))
 
 
-def evaluate(net, split, mode="jp", stat_layers=None, batch_size=500):
+def evaluate(net, split, mode="jp", stat_layers=None):
     """Top-1 accuracy plus measured activation sparsity.
 
     ``mode``: ``dense`` and ``wp_only`` run without activation masks (the
@@ -112,7 +113,7 @@ def evaluate(net, split, mode="jp", stat_layers=None, batch_size=500):
     nnz = {i: 0 for i in layers}
     sizes = {i: 0 for i in layers}
     with net.masks(cfg if mode == "jp" else None):
-        for idx in minibatches(len(split), batch_size):
+        for idx in minibatches(len(split), EVAL_BATCH):
             result = net.forward(split.images[idx], mode="eval")
             correct += int((result.logits.argmax(axis=1) == split.labels[idx]).sum())
             for i in layers:
@@ -223,7 +224,7 @@ def prune_to_targets(net, targets, ramp=1.0):
     """Magnitude-prune each weight layer toward its density target.
 
     ``ramp`` in (0,1] interpolates the kept density between 1.0 and the
-    final target.  New masks are intersected with existing ones, so masks
+    final target.  Pruned weights are exactly ±0, so they stay pruned: masks
     are monotone non-increasing within a phase.
     """
     for i, p in net.weight_params():
@@ -231,12 +232,8 @@ def prune_to_targets(net, targets, ramp=1.0):
         density = 1.0 - (1.0 - target) * ramp
         if density >= 1.0:
             continue
-        w = p.value if p.mask is None else p.value * p.mask
-        thr = threshold_for_target_density(w, density)
-        new_mask = prune_weights_by_magnitude(w, thr)
-        if p.mask is not None:
-            new_mask = new_mask * p.mask
-        p.set_mask(new_mask)
+        thr = threshold_for_target_density(p.value, density)
+        p.set_mask(prune_weights_by_magnitude(p.value, thr))
 
 
 def _snapshot(net):

@@ -59,6 +59,22 @@ def test_round_trip_bit_exact(tmp_path, rng):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def test_load_copies_each_param_once(tmp_path, rng):
+    """A loaded checkpoint's params are read-only views of the file bytes;
+    the rebuilt network owns writeable copies, bit-equal to the saved ones."""
+    net = _small_net()
+    net.layers[4].w.set_mask((rng.random(net.layers[4].w.value.shape) > 0.5).astype(np.float32))
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(checkpoint_from_network(net), path)
+    ckpt = load_checkpoint(path)
+    assert ckpt.params and not any(v.flags.writeable for v in ckpt.params.values())
+    restored = network_from_checkpoint(ckpt)
+    for p, (name, q) in zip(net.params(), ckpt_io._param_names(restored)):
+        assert q.value.flags.writeable
+        assert not np.shares_memory(q.value, ckpt.params[name])
+        assert q.value.dtype == p.value.dtype and q.value.tobytes() == p.value.tobytes()
+
+
 def test_pruned_density_preserved(tmp_path, rng):
     net = _small_net()
     w = net.layers[0].w

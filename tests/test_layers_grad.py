@@ -261,7 +261,7 @@ def test_conv_weight_grad_matches_naive_finite_differences(rng):
         x = rng.standard_normal((b, c, h, w))
         g = rng.standard_normal(layer.forward(x, train=True).shape)
         layer.backward(g)
-        indices = list(np.ndindex(layer.w.shape))
+        indices = list(np.ndindex(layer.w.value.shape))
         if len(indices) > 12:
             indices = [indices[i] for i in rng.choice(len(indices), 12, replace=False)]
 
@@ -368,7 +368,7 @@ def test_shape_error_names_layer():
 def _grad_check(net, x, labels, tol=1e-4, n_sample=40, seed=0, mask_cfg=None):
     if mask_cfg is not None:
         net.set_mask_cfg(mask_cfg)
-    _, _, _, _ = loss_and_backward(net, x, labels, alpha=0.0, mode="train")
+    loss_and_backward(net, x, labels, alpha=0.0)
     analytic = {id(p): p.grad.copy() for p in net.params()}
     pick = np.random.default_rng(seed)
 

@@ -11,7 +11,13 @@ from jointprune.network import (
     loss_and_backward,
     softmax_cross_entropy,
 )
-from jointprune.sparsity import WinnerRateConfig
+from jointprune.optim import SGD
+from jointprune.pipeline import prune_to_targets
+from jointprune.sparsity import (
+    WinnerRateConfig,
+    prune_weights_by_magnitude,
+    threshold_for_target_density,
+)
 
 
 def test_uniform_logits_loss_is_log_c():
@@ -57,12 +63,12 @@ def test_loss_decomposition(rng):
     net = Network([L.flatten(), L.fc(12, 4)], (1, 3, 4), dtype=np.float64)
     x = rng.standard_normal((3, 1, 3, 4))
     labels = rng.integers(0, 4, size=3)
-    total, ce, l1, _ = loss_and_backward(net, x, labels, alpha=0.01)
+    total, ce, l1 = loss_and_backward(net, x, labels, alpha=0.01)
     assert total == ce + l1
     w = net.layers[1].w.value
     assert np.isclose(l1, 0.01 * np.abs(w).sum())
     # alpha=0 drops the penalty term entirely
-    total0, ce0, l10, _ = loss_and_backward(net, x, labels, alpha=0.0)
+    total0, ce0, l10 = loss_and_backward(net, x, labels, alpha=0.0)
     assert l10 == 0.0 and total0 == ce0
     assert l1_penalty(net, 0.0) == 0.0
 
@@ -163,13 +169,13 @@ def test_skip_state_is_released_after_forward(rng):
     labels = rng.integers(0, 3, size=5)
     net.forward(x, mode="eval")
     assert net._skip_state == {}
-    net.forward(x, mode="train")
+    res = net.forward(x, mode="train")
     assert net._skip_state == {}
-    _, _, _, res = loss_and_backward(net, x, labels)
+    _, dlogits = softmax_cross_entropy(res.logits, labels)
+    net.backward(dlogits)
     assert net._skip_state == {}
     w2, w3 = net.layers[3].w.value, net.layers[5].w.value
     h1, h2 = res.post_mask[1], res.post_mask[4]
-    _, dlogits = softmax_cross_entropy(res.logits, labels)
     dh2 = dlogits @ w3.T
     dh1 = dh2 @ w2.T + dh2  # branch plus identity shortcut
     expected = {5: h2.T @ dlogits, 3: h1.T @ dh2, 1: x.reshape(5, -1).T @ dh1}
@@ -199,3 +205,52 @@ def test_backward_skips_first_weight_layer_input_gradient(rng, monkeypatch):
     loss_and_backward(net, rng.standard_normal((2, 1, 3, 4)), [0, 2])
     assert input_grads[0].shape == (2, 5) and input_grads[1] is None
     assert all(np.abs(p.grad).sum() > 0 for p in net.params())
+
+
+def _masked_l1_penalty(net, alpha):
+    """Reference l1 term: every weight multiplied by its mask first."""
+    total = 0.0
+    for _, p in net.weight_params():
+        w = p.value if p.mask is None else p.value * p.mask
+        total += np.abs(w).sum()
+    return float(alpha * total)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_pruned_weights_need_no_second_mask(rng, dtype):
+    """Pruned weights stay exactly ±0 through prune ramps and SGD momentum
+    steps, so the l1 term, its gradient and the next prune come out byte for
+    byte as if every weight were multiplied by its mask first.  The ramp
+    leaves -0.0 weights behind, and sign(-0.0) must add nothing."""
+    net = Network([L.conv2d(1, 4, 3, 1, 1), L.relu(), L.flatten(), L.fc(64, 12), L.relu(),
+                   L.fc(12, 3)], (1, 4, 4), dtype=dtype, seed=2)
+    x = rng.standard_normal((6, 1, 4, 4))
+    labels = rng.integers(0, 3, size=6)
+    opt = SGD(net.params(), lr=0.05, momentum=0.9)
+    alpha = 1e-2
+    negative_zeros = 0
+    for ramp in (0.25, 0.5, 0.75, 1.0):
+        expected_masks = []
+        for _, p in net.weight_params():
+            w = p.value if p.mask is None else p.value * p.mask
+            m = prune_weights_by_magnitude(w, threshold_for_target_density(w, 1 - 0.7 * ramp))
+            expected_masks.append(m if p.mask is None else m * p.mask)
+        prune_to_targets(net, {0: 0.3, 3: 0.3, 5: 0.3}, ramp)
+        for (_, p), m in zip(net.weight_params(), expected_masks):
+            assert p.mask.tobytes() == m.tobytes()
+        for _ in range(3):
+            res = net.forward(x, mode="train")
+            net.backward(softmax_cross_entropy(res.logits, labels)[1])
+            expected = []
+            for _, p in net.weight_params():
+                g = alpha * np.sign(p.value)
+                g *= p.mask
+                expected.append(p.grad + g.astype(p.grad.dtype))
+            _, _, l1 = loss_and_backward(net, x, labels, alpha=alpha)
+            assert np.float64(l1).tobytes() == np.float64(_masked_l1_penalty(net, alpha)).tobytes()
+            for (_, p), e in zip(net.weight_params(), expected):
+                assert p.grad.dtype == e.dtype and p.grad.tobytes() == e.tobytes()
+            opt.step()
+            negative_zeros += sum(int((np.signbit(p.value) & (p.mask == 0)).sum())
+                                  for _, p in net.weight_params())
+    assert negative_zeros > 0

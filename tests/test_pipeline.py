@@ -139,6 +139,18 @@ def test_reconcile_dropout_follows_masked_layer():
     assert net.specs[3].geometry["rate"] == 0.4
 
 
+def test_networks_built_from_one_preset_share_no_specs():
+    """Reconciling one network's dropout leaves the preset's specs and a
+    second network built from them alone."""
+    preset = get_preset("lenet4")
+    a, b = preset.build(), preset.build()
+    assert preset.specs[9].kind == "dropout"
+    reconcile_dropout(a, WinnerRateConfig(per_layer_rate={8: 0.122}), 0.5)
+    assert np.isclose(a.specs[9].geometry["rate"], 0.5 * np.sqrt(0.122))
+    assert b.specs[9].geometry["rate"] == 0.5
+    assert preset.specs[9].geometry["rate"] == 0.5
+
+
 def test_prune_to_targets_hits_density(rng):
     net = Network([L.flatten(), L.fc(40, 25)], (1, 5, 8))
     prune_to_targets(net, {1: 0.2})
