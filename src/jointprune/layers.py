@@ -1,30 +1,38 @@
 """Layer set for the small sequential networks used in the experiments.
 
-Everything runs on numpy, with NCHW arrays between layers.  A train-mode
-forward caches what the layer's backward pass needs, so a layer instance
-serves one forward/backward pair at a time (the network is mutated by a
-single writer); an eval-mode forward keeps no backward state.
+Everything runs on numpy.  Layers take and return (B, C, H, W)-shaped
+arrays; every 4-D activation a layer makes is stored batch-innermost, as
+a C-contiguous (C, H, W, B) array handed on as its ``transpose(3, 0, 1,
+2)`` view, and every layer also accepts other strides (an NCHW input) and
+gives the same bytes.  A train-mode forward caches what the layer's
+backward pass needs, so a layer instance serves one forward/backward pair
+at a time (the network is mutated by a single writer); an eval-mode
+forward keeps no backward state.
 
-Conv lowers to (C*k*k, B, oh*ow) im2col columns, filled straight from the
+Conv lowers to (C*k*k, oh*ow*B) im2col columns, filled straight from the
 unpadded input with each kernel tap clipped to the output positions that
-read real input.  Forward is one loop over blocks of samples: each block is
-lowered into one zeroed column buffer, and one GEMM per sample writes its
-(out_ch, oh*ow) slice of the output.  A train forward's block is the whole
-batch, whose columns it keeps; an eval forward's block is bounded by
-``EVAL_COLS_BYTES``, so a large batch streams through the buffer.
-Backward computes ``dw`` in one GEMM over all columns and scatters ``dx``
-back through the matching clipped col2im; the first weight layer of a
-network skips ``dx``.  The effective-MAC counter uses the same im2col.
+read real input; each tap copies rows of B elements.  A train forward
+lowers the whole batch and runs one GEMM whose output already has the
+(C, H, W, B) layout; it keeps the columns for backward and refills them
+at the next train forward with the same column shape.  Each tap zeros
+only the entries that read padding, so no buffer is cleared first.  An eval forward
+streams blocks of output positions (whole rows, or part of one row)
+through one column buffer bounded by ``EVAL_COLS_BYTES``.  Backward
+computes ``dw`` in one GEMM over all columns and scatters ``dx`` back
+through the matching clipped col2im into (C, H, W, B); the first weight
+layer of a network skips ``dx``.  The effective-MAC counter uses the same
+im2col.
 
-Pooling reduces the k*k strided window taps of a padded copy one at a
-time, in (i, j) row-major order, with no window tensor; overlapping
-windows work on a channels-last copy.  Nested-loop, padded-im2col and
-NCHW-tap references live in the test suite and must agree exactly at f64
-(byte for byte where the arithmetic is unchanged).
+Pooling reduces the k*k strided window taps of a padded (C, H, W, B) copy
+one at a time, in (i, j) row-major order, with no window tensor.
+Nested-loop, padded-im2col and NCHW-tap references live in the test suite
+and must agree exactly at f64 (byte for byte where the arithmetic is
+unchanged).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -113,48 +121,65 @@ def _tap_span(n_in, n_out, off, s):
     return slice(lo, hi), slice(first, first + s * (hi - lo), s)
 
 
-def _conv_taps(h, w, oh, ow, k, s, p):
-    """Per kernel tap (i, j), row-major: the output window clipped to the
-    positions that read the unpadded input, and the input rows and columns
-    they read (empty for a tap that sees only padding)."""
+def _conv_taps(h, w, ys, xs, k, s, p, row0=0):
+    """Per kernel tap (i, j), row-major: the part of the output window
+    ``ys`` x ``xs`` (ranges) that reads the unpadded input, relative to the
+    window, and the input rows and columns it reads, with rows counted from
+    input row ``row0`` (empty for a tap that sees only padding)."""
+    x_spans = [_tap_span(w, len(xs), xs.start * s + j - p, s) for j in range(k)]
     for i in range(k):
-        ys, rows = _tap_span(h, oh, i - p, s)
-        for j in range(k):
-            xs, cols = _tap_span(w, ow, j - p, s)
-            yield i, j, (ys, xs), (rows, cols)
+        out_y, rows = _tap_span(h, len(ys), ys.start * s + i - p - row0, s)
+        for j, (out_x, cols) in enumerate(x_spans):
+            yield i, j, (out_y, out_x), (rows, cols)
 
 
-def _im2col(x, k, s, p, oh, ow, buf=None):
-    """(B, C, H, W) -> (C*k*k, B, oh*ow) window copies: row (c, i, j),
-    column (b, y*ow + x).  Entries that fall on the zero padding are never
-    written, so ``buf``, a zeroed (C, k, k, B', oh, ow) array with B' >= B,
-    can be refilled block after block; its first B samples are returned.
-    Without ``buf`` the columns get a zeroed buffer of their own."""
-    b, c, h, w = x.shape
-    if buf is None:
-        buf = np.zeros((c, k, k, b, oh, ow), dtype=x.dtype)
-    xt = np.ascontiguousarray(x.transpose(1, 0, 2, 3))
-    for i, j, out_win, in_win in _conv_taps(h, w, oh, ow, k, s, p):
-        buf[(slice(None), i, j, slice(b)) + out_win] = xt[(Ellipsis,) + in_win]
-    return buf.reshape(c * k * k, -1, oh * ow)[:, :b]
+def _im2col(x4, k, s, p, ys, xs, buf=None):
+    """Columns of the output window ``ys`` x ``xs`` (ranges) of a conv over
+    the (C, H, W, B) input ``x4``: a (C*k*k, len(ys)*len(xs)*B) array, row
+    (c, i, j), column (y, x, b), so every tap copies rows of B elements.
+    Each tap writes its clipped input window and zeros only the entries
+    that read padding, so the columns may fill the front of any flat
+    ``buf`` (or an array of their own) whatever it held.  An input whose
+    batch is not innermost (an NCHW array viewed as (C, H, W, B)) has only
+    the rows this window reads transposed."""
+    c, h, w, b = x4.shape
+    ny, nx = len(ys), len(xs)
+    shape = (c, k, k, ny, nx, b)
+    cols = np.empty(shape, x4.dtype) if buf is None else buf[:math.prod(shape)].reshape(shape)
+    row0 = max(0, ys.start * s - p)
+    xb = x4[:, row0:max(row0, (ys.stop - 1) * s - p + k)]
+    if b > 1 and xb.strides[-1] != xb.itemsize:
+        xb = np.ascontiguousarray(xb)
+    for i, j, (oy, ox), (rows, xcols) in _conv_taps(xb.shape[1], w, ys, xs, k, s, p, row0):
+        cols[:, i, j, oy, ox] = xb[:, rows, xcols]
+        if oy.start:
+            cols[:, i, j, :oy.start] = 0
+        if oy.stop < ny:
+            cols[:, i, j, oy.stop:] = 0
+        if ox.start:
+            cols[:, i, j, oy, :ox.start] = 0
+        if ox.stop < nx:
+            cols[:, i, j, oy, ox.stop:] = 0
+    return cols.reshape(c * k * k, -1)
 
 
 def _col2im(dcols, x_shape, k, s, p):
-    """Scatter-add the inverse of :func:`_im2col` into a (B, C, H, W)
-    array; taps add in (i, j) row-major order and padding is dropped."""
+    """Scatter-add the inverse of :func:`_im2col` over the whole output
+    into a (C, H, W, B) array, returned as its (B, C, H, W) view; taps add
+    in (i, j) row-major order and padding is dropped."""
     b, c, h, w = x_shape
     oh, ow = _pool_geometry(h, w, k, s, p)
-    dc = dcols.reshape(c, k, k, b, oh, ow)
-    dxt = np.zeros((c, b, h, w), dtype=dcols.dtype)
-    for i, j, out_win, in_win in _conv_taps(h, w, oh, ow, k, s, p):
-        dxt[(Ellipsis,) + in_win] += dc[(slice(None), i, j, slice(None)) + out_win]
-    return np.ascontiguousarray(dxt.transpose(1, 0, 2, 3))
+    dc = dcols.reshape(c, k, k, oh, ow, b)
+    dx4 = np.zeros((c, h, w, b), dtype=dcols.dtype)
+    for i, j, (oy, ox), (rows, xcols) in _conv_taps(h, w, range(oh), range(ow), k, s, p):
+        dx4[:, rows, xcols] += dc[:, i, j, oy, ox]
+    return dx4.transpose(3, 0, 1, 2)
 
 
 # Byte budget of the im2col column buffer of an eval-mode conv forward,
-# which lowers the batch a block of samples at a time.  Whole-batch columns
-# run to hundreds of MB at batch 500 (196 MB for lenet4's conv2), and then
-# page faults and cache misses, not the GEMM, set the eval speed.
+# which lowers the output a block of positions at a time.  Whole-batch
+# columns run to hundreds of MB at batch 500 (196 MB for lenet4's conv2),
+# and then page faults and cache misses, not the GEMM, set the eval speed.
 EVAL_COLS_BYTES = 4 << 20
 
 
@@ -238,10 +263,13 @@ class Dense(Layer):
         return (self.spec.geometry["n_out"],)
 
     def forward(self, x, train=False, rng=None):
+        # a transposed (batch-innermost) operand would round otherwise in BLAS
+        x = np.ascontiguousarray(x)
         self._x = x if train else None
         return x @ self.w.value + self.b.value
 
     def backward(self, dout, input_grad=True):
+        dout = np.ascontiguousarray(dout)
         self.w.grad = self._x.T @ dout
         self.b.grad = dout.sum(axis=0)
         return dout @ self.w.value.T if input_grad else None
@@ -258,6 +286,7 @@ class Conv2d(Layer):
                                           g["in_ch"] * k * k, dtype))
         self.b = Param("b", np.zeros(g["out_ch"], dtype=dtype))
         self.params = [self.w, self.b]
+        self._cache = None
 
     def out_shape(self, in_shape):
         g = self.spec.geometry
@@ -274,30 +303,46 @@ class Conv2d(Layer):
         b = x.shape[0]
         _, oh, ow = self.out_shape(x.shape[1:])
         w2 = self.w.value.reshape(g["out_ch"], -1)
-        # an eval block holds at least two samples (or the whole batch): one
-        # sample's contiguous columns give BLAS another row stride than the
-        # whole batch's, on which a one-channel layer's gemv rounds otherwise
-        budget = EVAL_COLS_BYTES // (w2.shape[1] * oh * ow * x.itemsize)
-        step = b if train else min(b, max(2, budget))
-        out = np.empty((b, g["out_ch"], oh * ow), dtype=np.result_type(w2, x))
-        buf = np.zeros((x.shape[1], k, k, step, oh, ow), dtype=x.dtype)
-        for lo in range(0, b, step):
-            cols = _im2col(x[lo:lo + step], k, s, p, oh, ow, buf)
-            # one GEMM per sample: a single GEMM over all columns would need a
-            # transposing copy of its result, which costs more than the GEMM
-            # on wide few-channel layers
-            np.matmul(w2, cols.transpose(1, 0, 2), out=out[lo:lo + step])
-        out += self.b.value[:, None]
-        # the columns are k*k times the input: only a train forward keeps them
-        self._cache = (x.shape, cols.reshape(len(cols), -1)) if train else None
-        return out.reshape(b, g["out_ch"], oh, ow)
+        x4 = x.transpose(1, 2, 3, 0)
+        # a train forward refills the last train forward's columns when they
+        # have the same shape, which takes no page faults; any other columns
+        # are freed before anything new is allocated
+        prev, self._cache = self._cache, None
+        shape = (w2.shape[1], oh * ow * b)
+        reuse = train and prev is not None and prev[1].shape == shape and prev[1].dtype == x.dtype
+        buf = prev[1].ravel() if reuse else None
+        del prev
+        out = np.empty((g["out_ch"], oh, ow, b), dtype=np.result_type(w2, x))
+        out2 = out.reshape(g["out_ch"], -1)
+        if train:
+            # one GEMM over the whole batch's columns, which backward keeps
+            cols = _im2col(x4, k, s, p, range(oh), range(ow), buf)
+            np.matmul(w2, cols, out=out2)
+            self._cache = (x.shape, cols)
+        else:
+            # an eval forward streams blocks of output positions (whole rows,
+            # or part of one row) through one bounded column buffer
+            per = max(1, EVAL_COLS_BYTES // (w2.shape[1] * b * x.itemsize))
+            ny, nx = (min(oh, per // ow), ow) if per >= ow else (1, per)
+            buf = np.empty(w2.shape[1] * ny * nx * b, dtype=x.dtype)
+            for y0 in range(0, oh, ny):
+                ys = range(y0, min(oh, y0 + ny))
+                for x0 in range(0, ow, nx):
+                    xs = range(x0, min(ow, x0 + nx))
+                    lo = (y0 * ow + x0) * b
+                    cols = _im2col(x4, k, s, p, ys, xs, buf)
+                    np.matmul(w2, cols, out=out2[:, lo:lo + cols.shape[1]])
+        out2 += self.b.value[:, None]
+        return out.transpose(3, 0, 1, 2)
 
     def backward(self, dout, input_grad=True):
         g = self.spec.geometry
         x_shape, cols = self._cache
-        dout2 = dout.transpose(1, 0, 2, 3).reshape(g["out_ch"], -1)
-        self.w.grad = (dout2 @ cols.T).reshape(self.w.value.shape)
-        self.b.grad = dout.sum(axis=(0, 2, 3))
+        # no copy when dout is batch-innermost, as every layer returns it
+        dout2 = np.ascontiguousarray(dout.transpose(1, 2, 3, 0)).reshape(g["out_ch"], -1)
+        # cols @ dout2.T runs 1.2-1.7x faster than dout2 @ cols.T on the preset layers
+        self.w.grad = (cols @ dout2.T).T.reshape(self.w.value.shape)
+        self.b.grad = dout2.sum(axis=1)
         if not input_grad:
             return None
         dcols = self.w.value.reshape(g["out_ch"], -1).T @ dout2
@@ -305,15 +350,9 @@ class Conv2d(Layer):
 
 
 class _Pool(Layer):
-    """Pooling reduces the k*k strided window taps of a padded copy of the
-    input one at a time, in (i, j) row-major order, with no window tensor.
-
-    Overlapping windows (stride < window) work channels-last: the copy is
-    (H + 2p, W + 2p, B, C), so every tap pass runs over contiguous B*C
-    rows, and the k*k passes repay the transposes in and out.  Other
-    windows work in NCHW, where those transposes would cost more than the
-    few taps they speed up.
-    """
+    """Pooling reduces the k*k strided window taps of a padded (C, H, W, B)
+    copy of the input one at a time, in (i, j) row-major order, with no
+    window tensor; every tap pass runs over rows of B elements."""
 
     pad_value = 0.0
 
@@ -326,49 +365,33 @@ class _Pool(Layer):
             raise ShapeError(f"{self.kind} geometry {g} yields empty output for input {in_shape}")
         return (in_shape[0], oh, ow)
 
-    @property
-    def _channels_last(self):
-        g = self.spec.geometry
-        return g["stride"] < g["window"]
-
-    def _layout(self, a):
-        """NCHW <-> the working layout (the transpose is its own inverse)."""
-        return a.transpose(2, 3, 0, 1) if self._channels_last else a
-
-    def _hw(self, rows, cols):
-        """Index of a spatial window in the working layout."""
-        return (rows, cols) if self._channels_last else (Ellipsis, rows, cols)
-
     def _padded(self, x):
-        """The working-layout copy of an NCHW input, padded with ``pad_value``."""
+        """The (C, H + 2p, W + 2p, B) copy of an input, padded with
+        ``pad_value``; an unpadded batch-innermost input is used as is."""
         self.out_shape(x.shape[1:])  # raises ShapeError on an empty output
         p = self.spec.geometry["pad"]
-        if not (p or self._channels_last):
-            return x
-        b, c, h, w = x.shape
-        hp, wp = h + 2 * p, w + 2 * p
-        shape = (hp, wp, b, c) if self._channels_last else (b, c, hp, wp)
-        xp = np.full(shape, self.pad_value, dtype=x.dtype)
-        xp[self._hw(slice(p, p + h), slice(p, p + w))] = self._layout(x)
+        x4 = x.transpose(1, 2, 3, 0)
+        if not p:
+            return np.ascontiguousarray(x4)
+        c, h, w, b = x4.shape
+        xp = np.full((c, h + 2 * p, w + 2 * p, b), self.pad_value, dtype=x.dtype)
+        xp[:, p:p + h, p:p + w] = x4
         return xp
 
     def _taps(self, xp):
-        """Strided views of a padded working-layout array, one per window
+        """Strided views of a padded (C, H, W, B) array, one per window
         offset (i, j) in row-major order; view (i, j) holds element (i, j)
         of every window."""
         g = self.spec.geometry
         k, s = g["window"], g["stride"]
-        hp, wp = self._layout(xp).shape[2:]
-        oh = (hp - k) // s + 1
-        ow = (wp - k) // s + 1
-        return [xp[self._hw(slice(i, i + s * oh, s), slice(j, j + s * ow, s))]
-                for i in range(k) for j in range(k)]
+        oh = (xp.shape[1] - k) // s + 1
+        ow = (xp.shape[2] - k) // s + 1
+        return [xp[:, i:i + s * oh:s, j:j + s * ow:s] for i in range(k) for j in range(k)]
 
-    def _nchw(self, a, p):
-        """The NCHW copy of a working-layout array, cropped by ``p``."""
-        hp, wp = self._layout(a).shape[2:]
-        inner = a[self._hw(slice(p, hp - p), slice(p, wp - p))]
-        return np.ascontiguousarray(self._layout(inner))
+    def _input_grad(self, dxp):
+        """The (B, C, H, W) view of a padded gradient, cropped by the pad."""
+        p = self.spec.geometry["pad"]
+        return dxp[:, p:dxp.shape[1] - p, p:dxp.shape[2] - p].transpose(3, 0, 1, 2)
 
 
 class MaxPool2d(_Pool):
@@ -384,12 +407,12 @@ class MaxPool2d(_Pool):
             # so the running max keeps the first maximal value, as argmax did
             np.maximum(t, out, out=out)
         self._cache = (xp, out) if train else None
-        return self._nchw(out, 0)
+        return out.transpose(3, 0, 1, 2)
 
     def backward(self, dout):
         """Route each gradient to the first maximal window position."""
         xp, out = self._cache
-        bits = np.ascontiguousarray(self._layout(dout)).view(f"u{dout.itemsize}")
+        bits = np.ascontiguousarray(dout.transpose(1, 2, 3, 0)).view(f"u{dout.itemsize}")
         dxp = np.zeros(xp.shape, dtype=dout.dtype)
         free = np.ones(out.shape, dtype=bool)
         for t, dt in zip(self._taps(xp), self._taps(dxp)):
@@ -400,7 +423,7 @@ class MaxPool2d(_Pool):
             # gives it but without a branch per element: the bit pattern
             # times 0 or 1
             dt += np.multiply(bits, hit, dtype=bits.dtype).view(dout.dtype)
-        return self._nchw(dxp, self.spec.geometry["pad"])
+        return self._input_grad(dxp)
 
 
 class AvgPool2d(_Pool):
@@ -414,15 +437,15 @@ class AvgPool2d(_Pool):
             out += t
         out /= len(taps)
         self._cache = xp.shape if train else None
-        return self._nchw(out, 0)
+        return out.transpose(3, 0, 1, 2)
 
     def backward(self, dout):
         dxp = np.zeros(self._cache, dtype=dout.dtype)
         taps = self._taps(dxp)
-        share = np.ascontiguousarray(self._layout(dout)) / len(taps)
+        share = np.ascontiguousarray(dout.transpose(1, 2, 3, 0)) / len(taps)
         for dt in taps:
             dt += share
-        return self._nchw(dxp, self.spec.geometry["pad"])
+        return self._input_grad(dxp)
 
 
 class ReLU(Layer):
@@ -444,7 +467,8 @@ class LeakyReLU(Layer):
         slope = self.spec.geometry.get("slope", 0.1)
         self._pos = x > 0 if train else None
         # same bits as np.where(x > 0, x, slope * x), since 0 < slope < 1
-        return np.maximum(x, slope * x)
+        out = slope * x
+        return np.maximum(x, out, out=out)
 
     def backward(self, dout):
         """The bits of np.where(pos, dout, slope * dout), selected without a

@@ -105,6 +105,12 @@ class MacReport:
         return MAC_HEADER, rows
 
 
+def nonzero_count(a):
+    """Nonzero count of an array in memory order: a batch-innermost
+    activation is a permuted view, on which np.count_nonzero is slow."""
+    return int(np.count_nonzero(a.ravel(order="K")))
+
+
 # Both counters sum exact int64 pair counts over the batch: a float32 sum
 # drops counts once it passes 2**24.
 
@@ -120,10 +126,10 @@ def _effective_macs_conv(x, layer, wmask):
     _, oh, ow = layer.out_shape(x.shape[1:])
     # per input position, the samples where it is nonzero; then one
     # batch-1 im2col gives each (element, output position) pair's count
-    nz = np.count_nonzero(x, axis=0).astype(np.int64)[None]
-    cols = _im2col(nz, k, s, p, oh, ow)
+    nz = np.count_nonzero(x, axis=0).astype(np.int64)[..., None]
+    cols = _im2col(nz, k, s, p, range(oh), range(ow))
     per_elem = np.count_nonzero(wmask.reshape(g["out_ch"], -1), axis=0)
-    return int(per_elem @ cols.sum(axis=(1, 2)))
+    return int(per_elem @ cols.sum(axis=1))
 
 
 def count_effective_macs(net, batch):
@@ -134,8 +140,8 @@ def count_effective_macs(net, batch):
     pairs per fc/conv layer, averaged over the batch.
     """
     batch = np.asarray(batch, dtype=net.dtype)
-    result = net.forward(batch, mode="eval")
     names = weight_layer_names(net)
+    result = net.forward(batch, mode="eval", keep=[i - 1 for i in names if i])
     report = MacReport()
     b = batch.shape[0]
     for i, name in names.items():
@@ -152,7 +158,7 @@ def count_effective_macs(net, batch):
                 name=name,
                 dense_macs=dense_macs_for_layer(net, i),
                 effective_macs=eff,
-                acti_density_in=float((inp != 0).mean()),
+                acti_density_in=nonzero_count(inp) / inp.size,
                 weight_density=w.density(),
             )
         )

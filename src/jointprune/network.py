@@ -23,8 +23,9 @@ class ForwardResult:
     """Per-layer activations from one forward pass.
 
     ``post_mask[i]`` is layer i's output after its dynamic winner mask
-    ``act_masks[i]`` (None, and the raw output, when layer i is unmasked).
-    ``logits`` is the final layer output.
+    ``act_masks[i]`` (None, and the raw output, when layer i is unmasked),
+    or None when the forward did not keep layer i's output.  ``logits`` is
+    the final layer output, which is always kept.
     """
 
     __slots__ = ("post_mask", "logits", "act_masks")
@@ -128,13 +129,15 @@ class Network:
             return sparsity.predicted_mask_batch(acts, rate, cfg.downsample_rate, offset)
         return sparsity.select_winners_batch(acts, rate)
 
-    def forward(self, x, mode="eval", rng=None):
+    def forward(self, x, mode="eval", rng=None, keep=None):
         """Run all layers; returns a :class:`ForwardResult`.
 
         In train mode dropout is active (requires ``rng``); in eval mode it
         is an identity.  Dynamic winner masks apply in both modes whenever
         a mask config is attached.  Only a train-mode forward keeps the
-        state :meth:`backward` needs.
+        state :meth:`backward` needs.  ``keep`` names the layers whose
+        outputs the result holds (None: all of them); every other output is
+        freed once the next layer has read it.
         """
         if mode not in ("train", "eval"):
             raise ConfigError(f"forward mode must be train or eval, got {mode!r}")
@@ -144,6 +147,8 @@ class Network:
                 f"input shape {x.shape[1:]} does not match network input {self.input_shape}"
             )
         train = mode == "train"
+        last = len(self.layers) - 1
+        keep = range(len(self.layers)) if keep is None else set(keep) | {last}
         post, act_masks = [], [None] * len(self.layers)
         for i, layer in enumerate(self.layers):
             try:
@@ -154,7 +159,7 @@ class Network:
             if t is not None:
                 act_masks[i] = t
                 x = x * t
-            post.append(x)
+            post.append(x if i in keep else None)
         self._act_masks = act_masks if train else None
         return ForwardResult(post, act_masks)
 
@@ -213,7 +218,7 @@ def loss_and_backward(net, x, labels, alpha=0.0, rng=None):
     Returns ``(total_loss, ce_loss, l1_loss)``; the reported total is
     exactly ce + l1.  Gradients land in the params' grad buffers.
     """
-    logits = net.forward(x, mode="train", rng=rng).logits
+    logits = net.forward(x, mode="train", rng=rng, keep=()).logits
     ce, dlogits = softmax_cross_entropy(logits, labels)
     net.backward(dlogits)
     l1 = l1_penalty(net, alpha)

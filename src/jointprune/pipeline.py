@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ConfigError, DivergenceError
 from .layers import LAYER_KINDS
-from .metrics import SparsityStats
+from .metrics import SparsityStats, nonzero_count
 from .network import WEIGHT_KINDS, loss_and_backward
 from .optim import make_optimizer
 from .sparsity import WinnerRateConfig, prune_weights_by_magnitude, threshold_for_target_density
@@ -114,11 +114,11 @@ def evaluate(net, split, mode="jp", stat_layers=None):
     sizes = {i: 0 for i in layers}
     with net.masks(cfg if mode == "jp" else None):
         for idx in minibatches(len(split), EVAL_BATCH):
-            result = net.forward(split.images[idx], mode="eval")
+            result = net.forward(split.images[idx], mode="eval", keep=layers)
             correct += int((result.logits.argmax(axis=1) == split.labels[idx]).sum())
             for i in layers:
                 a = result.post_mask[i]
-                nnz[i] += int(np.count_nonzero(a))
+                nnz[i] += nonzero_count(a)
                 sizes[i] += a.size
     stats = SparsityStats(
         per_layer=[(i, sizes[i] // len(split), nnz[i] / sizes[i]) for i in layers]

@@ -60,36 +60,54 @@ def winner_count(rate, n):
     return min(n, max(1, math.ceil(rate * n)))
 
 
-def _topk_mask_rows(mag, k):
-    """Top-k mask per row of a (B, N) magnitude array, lowest-index tie rule."""
-    b, n = mag.shape
-    if k >= n:
-        return np.ones_like(mag, dtype=bool)
-    # np.partition is introselect: expected linear time, no full sort.
-    kth = np.partition(mag, n - k, axis=1)[:, n - k, None]
-    gt = mag > kth
-    eq = mag == kth
-    need = k - np.count_nonzero(gt, axis=1)
-    # only rows with more ties at the cut than places left need the
-    # lowest-index tie-break; every other row keeps all of its ties
-    tied = np.flatnonzero(np.count_nonzero(eq, axis=1) > need)
-    if tied.size:
-        e = eq[tied]
-        eq[tied] = e & (np.cumsum(e, axis=1) <= need[tied, None])
-    gt |= eq
-    return gt
+def _samples_last(acts):
+    """The (N, B) view of a (B, ...) batch with one column per sample: no
+    copy when the batch is innermost in memory or outermost (C order)."""
+    return acts.transpose(tuple(range(1, acts.ndim)) + (0,)).reshape(-1, acts.shape[0])
+
+
+def _sample_major_abs(cols):
+    """|cols| as a C-order (B, N) array, one row per sample.  A
+    batch-innermost ``cols`` is transposed in blocks of 4096 rows, which
+    keep both sides in cache: a (100, 32768) f32 transpose takes 2.7 ms
+    that way and 9.5 ms in one pass."""
+    n, b = cols.shape
+    mag = np.empty((b, n), dtype=cols.dtype)
+    for lo in range(0, n, 4096):
+        np.abs(cols[lo:lo + 4096].T, out=mag[:, lo:lo + 4096])
+    return mag
 
 
 def select_winners_batch(acts, rate):
-    """Exact per-sample bool winner masks for a batch; axis 0 is the sample axis."""
+    """Exact per-sample bool winner masks for a batch; axis 0 is the sample
+    axis, and the masks have the memory layout of ``acts``."""
     acts = np.asarray(acts)
     if acts.size == 0:
         raise ShapeError("cannot select winners from an empty activation tensor")
-    b = acts.shape[0]
-    n = acts[0].size
+    cols = _samples_last(acts)
+    n, b = cols.shape
     k = winner_count(rate, n)
-    mag = np.abs(acts).reshape(b, n)
-    return _topk_mask_rows(mag, k).reshape(acts.shape)
+    if k >= n:
+        return np.ones(acts.shape, dtype=bool)
+    # np.partition is introselect: expected linear time, no full sort.
+    rows = _sample_major_abs(cols)
+    rows.partition(n - k, axis=1)
+    # a contiguous threshold: against the strided column rows[:, n - k] the
+    # compare below takes 18.6 ms instead of 1.2 ms on (32768, 100) f32
+    kth = rows[:, n - k].copy()
+    del rows
+    mask = np.abs(cols) >= kth
+    # rows with more ties at the cut than places left need the lowest-index
+    # tie-break; every other row keeps all of its ties
+    tied = np.flatnonzero(np.count_nonzero(mask, axis=0) > k)
+    if tied.size:
+        mag = np.abs(cols[:, tied]).T
+        gt = mag > kth[tied, None]
+        eq = mag == kth[tied, None]
+        need = k - np.count_nonzero(gt, axis=1)
+        eq &= np.cumsum(eq, axis=1) <= need[:, None]
+        mask[:, tied] = (gt | eq).T
+    return mask.T.reshape(acts.shape)
 
 
 def _subsample_indices(n, eps, offset):
@@ -99,24 +117,25 @@ def _subsample_indices(n, eps, offset):
 
 
 def predicted_mask_batch(acts, rate, eps, offset=0):
-    """Per-sample bool ``|a| > theta`` masks from a subsampled threshold.
+    """Per-sample bool ``|a| > theta`` masks from a subsampled threshold,
+    in the memory layout of ``acts``.
 
     Each sample's theta is the ceil(eps * k)-th largest magnitude among
     round(eps * N) elements taken every floor(1/eps) positions from
     ``offset``.  The comparison is strict, so an all-equal row masks to empty.
     """
     acts = np.asarray(acts)
-    b = acts.shape[0]
-    n = acts[0].size
+    cols = _samples_last(acts)
+    n = cols.shape[0]
     if eps * n < 1.0:
         raise ConfigError(f"downsample rate {eps} yields an empty subsample for N={n}")
     k = winner_count(rate, n)
     idx = _subsample_indices(n, eps, offset)
-    mag = np.abs(acts).reshape(b, n)
-    sub = mag[:, idx]
+    sub = _sample_major_abs(cols[idx])
     r = min(len(idx), max(1, math.ceil(eps * k)))
-    theta = np.partition(sub, sub.shape[1] - r, axis=1)[:, sub.shape[1] - r]
-    return (mag > theta[:, None]).reshape(acts.shape)
+    sub.partition(len(idx) - r, axis=1)
+    theta = sub[:, len(idx) - r].copy()
+    return (np.abs(cols) > theta).T.reshape(acts.shape)
 
 
 def prune_weights_by_magnitude(weights, threshold):

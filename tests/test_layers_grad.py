@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from jointprune import layers as L
+from jointprune import sparsity
 from jointprune.errors import ShapeError
+from jointprune.models import get_preset
 from jointprune.network import Network, loss_and_backward
 from jointprune.sparsity import WinnerRateConfig
 
@@ -196,11 +198,16 @@ def _counted(monkeypatch, name):
 
 
 def test_eval_conv_blocks_match_train_forward_bytewise(rng, monkeypatch):
-    """An eval forward that streams the batch through a bounded column
-    buffer gives the bytes of the train forward and of the padded-im2col
-    oracle, at f32 and f64 with NaN, inf and signed zeros: blocks of two and
-    three samples, ragged remainders of one and two, and a one-byte budget
-    (which still lowers two samples at a time)."""
+    """An eval forward that streams blocks of output positions through a
+    bounded column buffer gives the bytes of the padded-im2col oracle run
+    with the same blocks, at f32 and f64 with NaN, inf and signed zeros:
+    blocks of two and three output rows with ragged remainders of one and
+    two, blocks of two positions inside a row with and without a ragged
+    one, and a one-byte budget (one position, a row of B columns, per
+    block).  BLAS may round a GEMM over fewer columns in another last bit,
+    and it does on some of these tiny layers, so the train forward's single
+    GEMM is checked against the single-GEMM oracle; on the preset conv
+    layers at batch 100 the eval blocks give the train forward's bytes."""
     blocks = _counted(monkeypatch, "_im2col")
     seen = set()
     with np.errstate(invalid="ignore", over="ignore"):
@@ -213,15 +220,37 @@ def test_eval_conv_blocks_match_train_forward_bytewise(rng, monkeypatch):
                 x = _special(rng, (b, c, h, w), dtype)
                 ref = layer.forward(x, train=True)
                 assert _same_bits(ref, conv2d_padded_im2col(x, layer.w.value, layer.b.value, s, p))
-                sample_bytes = c * k * k * ref.shape[2] * ref.shape[3] * x.itemsize
-                for budget, step in ((1, 2), (2 * sample_bytes, 2), (3 * sample_bytes + 1, 3)):
+                oh, ow = ref.shape[2:]
+                position_bytes = c * k * k * b * x.itemsize
+                row_bytes = ow * position_bytes
+                part_row = ((1, 2), ("part row", ow % 2)) if ow > 2 else ((2 // ow, ow), None)
+                for budget, block, case in ((1, (1, 1), None),
+                                            (2 * position_bytes,) + part_row,
+                                            (2 * row_bytes, (2, ow), (2, oh % 2)),
+                                            (3 * row_bytes + 1, (3, ow), (3, oh % 3))):
                     monkeypatch.setattr(L, "EVAL_COLS_BYTES", budget)
                     del blocks[:]
                     out = layer.forward(x)
-                    assert len(blocks) == -(-b // step), (trial, budget)
+                    ny, nx = block
+                    assert len(blocks) == -(-oh // ny) * -(-ow // nx), (trial, budget)
+                    ref = conv2d_padded_im2col(x, layer.w.value, layer.b.value, s, p, block)
                     assert _same_bits(out, ref), (trial, dtype, budget)
-                    seen.add((step, b % step))
-    assert seen >= {(2, 0), (2, 1), (3, 0), (3, 1), (3, 2)}
+                    seen.add(case)
+    assert seen >= {(2, 0), (2, 1), (3, 0), (3, 1), (3, 2), ("part row", 0), ("part row", 1)}
+    monkeypatch.undo()
+    multi = 0
+    for name in ("lenet4", "convnet5", "leaky6"):
+        net = get_preset(name).build()
+        shapes = [net.input_shape] + net.layer_shapes
+        for layer, in_shape in zip(net.layers, shapes):
+            if layer.kind == "conv2d":
+                x = rng.standard_normal((100,) + in_shape).astype(np.float32)
+                blocks = _counted(monkeypatch, "_im2col")
+                out = layer.forward(x)
+                multi += len(blocks) > 1
+                monkeypatch.undo()
+                assert _same_bits(out, layer.forward(x, train=True)), (name, in_shape)
+    assert multi == 9
 
 
 def test_eval_conv_whole_batch_in_one_block_is_one_lowering(rng):
@@ -234,6 +263,36 @@ def test_eval_conv_whole_batch_in_one_block_is_one_lowering(rng):
             blocks = _counted(mp, "_im2col")
             layer.forward(x, train=train)
         assert len(blocks) == 1, (b, train)
+
+
+def test_train_conv_refilled_columns_keep_no_stale_entries(rng):
+    """A train forward refills the last train forward's columns when their
+    shape repeats; after NaN and inf inputs, inputs of another shape with
+    the same output size, another batch size or an eval forward, forward
+    and gradients still equal a fresh layer's bytes (no stale entry
+    survives on the padding)."""
+    spec = L.conv2d(2, 3, 3, 2, 1)
+    layer = L.build_layer(spec, np.random.default_rng(0), np.float64, {})
+    with np.errstate(invalid="ignore"):
+        for shape, train_first in (((4, 2, 6, 6), True), ((4, 2, 5, 5), True),
+                                   ((4, 2, 5, 5), True), ((3, 2, 5, 5), True),
+                                   ((3, 2, 5, 5), False), ((4, 2, 6, 6), True)):
+            if not train_first:
+                layer.forward(_special(rng, shape, np.float64))
+            x = _special(rng, shape, np.float64)
+            fresh = L.build_layer(spec, np.random.default_rng(0), np.float64, {})
+            dout = rng.standard_normal(fresh.out_shape(shape[1:]))
+            dout = np.broadcast_to(dout, (shape[0],) + dout.shape).copy()
+            got = [layer.forward(x, train=True)]
+            want = [fresh.forward(x, train=True)]
+            got.append(layer.backward(dout))
+            want.append(fresh.backward(dout))
+            got += [layer.w.grad, layer.b.grad]
+            want += [fresh.w.grad, fresh.b.grad]
+            for a, b in zip(got, want):
+                assert _same_bits(a, b), shape
+            # leave NaN and inf in every column a later refill could reuse
+            layer.forward(_special(rng, shape, np.float64) * np.inf, train=True)
 
 
 def test_eval_conv_peak_memory_is_bounded(rng):
@@ -275,9 +334,9 @@ def test_conv_weight_grad_matches_naive_finite_differences(rng):
 
 def test_pool_kernels_match_tap_oracle_bytewise(rng):
     """Max and avg pool forward and backward equal the NCHW padded-tap
-    oracles byte for byte at f32 and f64, in both working layouts (stride <
-    window runs channels-last), with ties, NaN, inf and signed zeros in the
-    input and in the gradient."""
+    oracles byte for byte at f32 and f64, for overlapping (stride < window)
+    and other windows, with ties, NaN, inf and signed zeros in the input and
+    in the gradient."""
     layouts = set()
     with np.errstate(invalid="ignore"):
         for trial in range(160):
@@ -299,6 +358,64 @@ def test_pool_kernels_match_tap_oracle_bytewise(rng):
                     dx = layer.backward(dout)
                     assert _same_bits(dx, bwd(x, dout, k, s, p)), trial
     assert layouts == {True, False}
+
+
+def _batch_innermost(a):
+    """The values of ``a`` as a view whose batch axis is innermost in memory."""
+    return np.moveaxis(np.ascontiguousarray(np.moveaxis(a, 0, -1)), -1, 0)
+
+
+def test_batch_innermost_view_gives_the_bytes_of_nchw(rng):
+    """Every layer kind, a network forward and backward, and both winner
+    selections give the same bytes for an NCHW-contiguous input and for the
+    same values as a batch-innermost view, at f32 and f64 with NaN, inf,
+    signed zeros and (in the winner selections) rows with surplus ties."""
+    kinds = [(L.conv2d(3, 4, 3, 2, 1), (3, 7, 6)), (L.maxpool(3, 1, 1), (3, 5, 6)),
+             (L.maxpool(2, 2), (2, 6, 6)), (L.avgpool(3, 1, 1), (3, 5, 6)),
+             (L.avgpool(2, 2), (2, 6, 6)), (L.relu(), (3, 4, 5)), (L.leaky_relu(0.1), (3, 4, 5)),
+             (L.dropout(0.4), (3, 4, 5)), (L.flatten(), (3, 4, 5)), (L.fc(300, 37), (300,))]
+    specs = [L.leaky_relu(0.1), L.conv2d(2, 4, 3, 1, 1), L.relu(), L.skip_save(),
+             L.maxpool(3, 1, 1), L.leaky_relu(0.2), L.skip_add(), L.avgpool(2, 2),
+             L.flatten(), L.fc(36, 5)]
+    tied = 0
+    with np.errstate(invalid="ignore", over="ignore"):
+        for dtype in (np.float32, np.float64):
+            for spec, shape in kinds:
+                x = _special(rng, (20,) + shape, dtype)
+                if spec.kind == "fc":  # one NaN or inf would reach every output
+                    x = np.nan_to_num(x, posinf=2.0, neginf=-2.0)
+                outs = []
+                for xs in (x, _batch_innermost(x)):
+                    layer = L.build_layer(spec, np.random.default_rng(3), dtype, {})
+                    out = layer.forward(xs, train=True, rng=np.random.default_rng(4))
+                    dout = _special(np.random.default_rng(5), out.shape, dtype)
+                    dx = layer.backward(dout if xs is x else _batch_innermost(dout))
+                    outs.append([out, dx] + [p.grad for p in layer.params])
+                for a, b in zip(*outs):
+                    assert _same_bits(a, b), (spec.kind, dtype)
+            net = Network(specs, (2, 6, 6), dtype=dtype, seed=1)
+            net.set_mask_cfg(WinnerRateConfig(per_layer_rate={0: 0.5, 2: 0.3, 6: 0.4}))
+            x = rng.integers(-2, 3, size=(6, 2, 6, 6)).astype(dtype)
+            outs = []
+            for xs in (x, _batch_innermost(x)):
+                res = net.forward(xs, mode="train")
+                net.backward(np.ones_like(res.logits))
+                outs.append(res.post_mask + [p.grad.copy() for p in net.params()])
+            for a, b in zip(*outs):
+                assert _same_bits(a, b), dtype
+            for shape in ((7, 3, 4, 5), (7, 60)):
+                acts = _special(rng, shape, dtype)
+                acts[:3] = rng.integers(-2, 3, size=(3,) + shape[1:])
+                for rate in (0.1, 0.3, 0.5):
+                    for select in (lambda a: sparsity.select_winners_batch(a, rate),
+                                   lambda a: sparsity.predicted_mask_batch(a, rate, 0.25, 1)):
+                        masks = [select(a) for a in (acts, _batch_innermost(acts))]
+                        assert masks[0].tobytes() == masks[1].tobytes(), (shape, rate)
+                    k = sparsity.winner_count(rate, acts[0].size)
+                    mag = np.abs(acts.reshape(7, -1))
+                    kth = -np.sort(-np.where(np.isnan(mag), np.inf, mag), axis=1)[:, k - 1:k]
+                    tied += int(((mag >= kth).sum(axis=1) > k).sum())
+    assert tied > 0
 
 
 def test_leaky_relu_matches_where_form_bitwise(rng):
