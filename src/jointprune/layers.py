@@ -4,24 +4,27 @@ Everything runs on numpy.  Layers take and return (B, C, H, W)-shaped
 arrays; every 4-D activation a layer makes is stored batch-innermost, as
 a C-contiguous (C, H, W, B) array handed on as its ``transpose(3, 0, 1,
 2)`` view, and every layer also accepts other strides (an NCHW input) and
-gives the same bytes.  A train-mode forward caches what the layer's
+gives the same bytes.  2-D activations are C-order (flatten copies the
+batch-innermost view).  A train-mode forward caches what the layer's
 backward pass needs, so a layer instance serves one forward/backward pair
 at a time (the network is mutated by a single writer); an eval-mode
 forward keeps no backward state.
 
 Conv lowers to (C*k*k, oh*ow*B) im2col columns, filled straight from the
 unpadded input with each kernel tap clipped to the output positions that
-read real input; each tap copies rows of B elements.  A train forward
-lowers the whole batch and runs one GEMM whose output already has the
-(C, H, W, B) layout; it keeps the columns for backward and refills them
-at the next train forward with the same column shape.  Each tap zeros
-only the entries that read padding, so no buffer is cleared first.  An eval forward
-streams blocks of output positions (whole rows, or part of one row)
-through one column buffer bounded by ``EVAL_COLS_BYTES``.  Backward
-computes ``dw`` in one GEMM over all columns and scatters ``dx`` back
-through the matching clipped col2im into (C, H, W, B); the first weight
-layer of a network skips ``dx``.  The effective-MAC counter uses the same
-im2col.
+read real input; each tap copies rows of B elements and zeros only the
+entries that read padding, so no buffer is cleared first.  The GEMM runs
+in one call over all units of the output, one BLAS GEMM per unit: a
+single sample's whole output, else one output row of the batch, or one
+output position when a row's columns would outgrow the input.  A train
+forward lowers the whole batch and keeps the columns for backward; an
+eval forward streams blocks of whole units through one column buffer
+bounded by ``EVAL_COLS_BYTES``.  Both make the same per-unit calls, so
+they give the same bytes, and the output already has the (C, H, W, B)
+layout.  Backward computes ``dw`` in one GEMM over all columns and
+scatters ``dx`` back through the matching clipped col2im into (C, H, W,
+B); the first weight layer of a network skips ``dx``.  The effective-MAC
+counter uses the same im2col.
 
 Pooling reduces the k*k strided window taps of a padded (C, H, W, B) copy
 one at a time, in (i, j) row-major order, with no window tensor.
@@ -176,10 +179,26 @@ def _col2im(dcols, x_shape, k, s, p):
     return dx4.transpose(3, 0, 1, 2)
 
 
+def _unit_gemm(w2, cols, n, out2):
+    """``out2 = w2 @ cols`` as one BLAS GEMM per unit of ``n`` columns.  BLAS
+    rounds a column by where it falls in its call's tiles, so an eval
+    forward, which lowers blocks of whole units, gives the train forward's
+    bytes only through the same per-unit calls.  A one-output-channel
+    product would be a gemv per unit, whose rounding depends on the column
+    stride (the whole columns' or a block's), so it runs as a GEMM with a
+    zero second row."""
+    units = cols.reshape(len(cols), -1, n).transpose(1, 0, 2)
+    if len(w2) > 1:
+        np.matmul(w2, units, out=out2.reshape(len(w2), -1, n).transpose(1, 0, 2))
+    else:
+        out2[0] = np.matmul(np.vstack([w2, np.zeros_like(w2)]), units)[:, 0].ravel()
+
+
 # Byte budget of the im2col column buffer of an eval-mode conv forward,
-# which lowers the output a block of positions at a time.  Whole-batch
-# columns run to hundreds of MB at batch 500 (196 MB for lenet4's conv2),
-# and then page faults and cache misses, not the GEMM, set the eval speed.
+# which lowers the output a block of whole GEMM units at a time (at least
+# one unit, however small the budget).  Whole-batch columns run to
+# hundreds of MB at batch 500 (196 MB for lenet4's conv2), and then page
+# faults and cache misses, not the GEMM, set the eval speed.
 EVAL_COLS_BYTES = 4 << 20
 
 
@@ -263,13 +282,10 @@ class Dense(Layer):
         return (self.spec.geometry["n_out"],)
 
     def forward(self, x, train=False, rng=None):
-        # a transposed (batch-innermost) operand would round otherwise in BLAS
-        x = np.ascontiguousarray(x)
         self._x = x if train else None
         return x @ self.w.value + self.b.value
 
     def backward(self, dout, input_grad=True):
-        dout = np.ascontiguousarray(dout)
         self.w.grad = self._x.T @ dout
         self.b.grad = dout.sum(axis=0)
         return dout @ self.w.value.T if input_grad else None
@@ -300,29 +316,26 @@ class Conv2d(Layer):
     def forward(self, x, train=False, rng=None):
         g = self.spec.geometry
         k, s, p = g["kernel"], g["stride"], g["pad"]
-        b = x.shape[0]
+        b, _, h, w = x.shape
         _, oh, ow = self.out_shape(x.shape[1:])
         w2 = self.w.value.reshape(g["out_ch"], -1)
         x4 = x.transpose(1, 2, 3, 0)
-        # a train forward refills the last train forward's columns when they
-        # have the same shape, which takes no page faults; any other columns
-        # are freed before anything new is allocated
-        prev, self._cache = self._cache, None
-        shape = (w2.shape[1], oh * ow * b)
-        reuse = train and prev is not None and prev[1].shape == shape and prev[1].dtype == x.dtype
-        buf = prev[1].ravel() if reuse else None
-        del prev
+        self._cache = None  # free the last train forward's columns first
+        # positions per GEMM unit: the whole output of a single sample, else
+        # one output row, or one output position when a row's columns would
+        # outgrow the input (k*k*ow > h*w) at a batch at least a row wide
+        unit = oh * ow if b == 1 else ow if b < ow or k * k * ow <= h * w else 1
         out = np.empty((g["out_ch"], oh, ow, b), dtype=np.result_type(w2, x))
         out2 = out.reshape(g["out_ch"], -1)
         if train:
-            # one GEMM over the whole batch's columns, which backward keeps
-            cols = _im2col(x4, k, s, p, range(oh), range(ow), buf)
-            np.matmul(w2, cols, out=out2)
+            # the whole batch's columns, which backward keeps
+            cols = _im2col(x4, k, s, p, range(oh), range(ow))
+            _unit_gemm(w2, cols, unit * b, out2)
             self._cache = (x.shape, cols)
         else:
-            # an eval forward streams blocks of output positions (whole rows,
-            # or part of one row) through one bounded column buffer
-            per = max(1, EVAL_COLS_BYTES // (w2.shape[1] * b * x.itemsize))
+            # an eval forward streams blocks of whole units (whole rows, or
+            # part of one row) through one bounded column buffer
+            per = max(unit, EVAL_COLS_BYTES // (w2.shape[1] * b * x.itemsize))
             ny, nx = (min(oh, per // ow), ow) if per >= ow else (1, per)
             buf = np.empty(w2.shape[1] * ny * nx * b, dtype=x.dtype)
             for y0 in range(0, oh, ny):
@@ -331,7 +344,7 @@ class Conv2d(Layer):
                     xs = range(x0, min(ow, x0 + nx))
                     lo = (y0 * ow + x0) * b
                     cols = _im2col(x4, k, s, p, ys, xs, buf)
-                    np.matmul(w2, cols, out=out2[:, lo:lo + cols.shape[1]])
+                    _unit_gemm(w2, cols, unit * b, out2[:, lo:lo + cols.shape[1]])
         out2 += self.b.value[:, None]
         return out.transpose(3, 0, 1, 2)
 
@@ -345,7 +358,17 @@ class Conv2d(Layer):
         self.b.grad = dout2.sum(axis=1)
         if not input_grad:
             return None
-        dcols = self.w.value.reshape(g["out_ch"], -1).T @ dout2
+        w2t = self.w.value.reshape(g["out_ch"], -1).T
+        if len(w2t) > 1:
+            dcols = w2t @ dout2
+        else:
+            # one input channel and a 1x1 kernel make this product a BLAS
+            # gemv, which rounds its last few columns by their position; it
+            # runs over the columns in NCHW (sample-major) order, so dx has
+            # the bytes of the same conv on an NCHW batch
+            b, _, oh, ow = dout.shape
+            nchw = np.ascontiguousarray(dout.transpose(1, 0, 2, 3)).reshape(len(dout2), -1)
+            dcols = (w2t @ nchw).reshape(b, oh, ow).transpose(1, 2, 0).reshape(1, -1)
         return _col2im(dcols, x_shape, g["kernel"], g["stride"], g["pad"])
 
 

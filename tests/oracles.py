@@ -75,47 +75,43 @@ def _window_taps(xp, window, stride, oh, ow):
             for i in range(window) for j in range(window)]
 
 
-def conv2d_padded_im2col(x, w, b, stride, pad, block=None):
+def conv2d_padded_im2col(x, w, b, stride, pad):
     """Convolution through a padded im2col: np.pad and one window copy per
-    tap, arranged as the library's batch-innermost (C*k*k, oh*ow*B) columns,
-    then the library's GEMM calls and the bias: one GEMM over all columns,
-    or with ``block = (ny, nx)`` one GEMM per contiguous copy of the columns
-    of each ny x nx window of output positions, row-major.  BLAS picks its
-    kernels by operand shape, so only the same calls give the same bytes;
-    any difference lies in the lowering."""
-    bsz, cin = x.shape[:2]
+    tap, arranged as the library's batch-innermost (C*k*k, oh*ow*B)
+    columns, then the library's GEMM calls and the bias: one GEMM for a
+    single sample, else one per output row of the batch, or per output
+    position when k*k*ow > h*w and B >= ow, with a zero second weight row
+    for one output channel.  BLAS picks its kernels by operand shape and
+    stride, so only the same calls give the same bytes; any difference lies
+    in the lowering."""
+    bsz, cin, h, wid = x.shape
     cout, _, k, _ = w.shape
-    oh = (x.shape[2] + 2 * pad - k) // stride + 1
-    ow = (x.shape[3] + 2 * pad - k) // stride + 1
+    oh = (h + 2 * pad - k) // stride + 1
+    ow = (wid + 2 * pad - k) // stride + 1
     taps = _window_taps(_pad_nchw(x, pad), k, stride, oh, ow)
     cols = np.stack(taps, axis=2).reshape(bsz, cin * k * k, oh, ow).transpose(1, 2, 3, 0)
+    n = oh * ow if bsz == 1 else ow * bsz if bsz < ow or k * k * ow <= h * wid else bsz
+    units = np.ascontiguousarray(cols).reshape(cin * k * k, -1, n).transpose(1, 0, 2)
     w2 = w.reshape(cout, -1)
-    if block is None:
-        out = (w2 @ np.ascontiguousarray(cols).reshape(cin * k * k, -1)).reshape(cout, oh, ow, bsz)
-    else:
-        ny, nx = block
-        out = np.empty((cout, oh, ow, bsz), dtype=np.result_type(w, x))
-        for y in range(0, oh, ny):
-            for x0 in range(0, ow, nx):
-                win = np.ascontiguousarray(cols[:, y:y + ny, x0:x0 + nx])
-                out[:, y:y + ny, x0:x0 + nx] = (w2 @ win.reshape(w2.shape[1], -1)).reshape(
-                    (cout,) + win.shape[1:])
+    if cout == 1:
+        w2 = np.concatenate([w2, np.zeros_like(w2)])
+    out = np.matmul(w2, units)[:, :cout].transpose(1, 0, 2).reshape(cout, oh, ow, bsz)
     out += b[:, None, None, None]
     return out.transpose(3, 0, 1, 2)
 
 
 def conv2d_padded_col2im(x_shape, w, dout, stride, pad):
-    """Input gradient through the library's single ``w2.T @ dout2`` GEMM
-    over batch-innermost columns, scattered back tap by tap into a zeroed
-    padded NCHW buffer that is then cropped."""
+    """Input gradient through the library's single ``w2.T @ dout2`` GEMM,
+    scattered back tap by tap into a zeroed padded buffer that is then
+    cropped."""
     bsz, cin, h, wid = x_shape
     cout, _, k, _ = w.shape
     _, _, oh, ow = dout.shape
-    dout2 = dout.transpose(1, 2, 3, 0).reshape(cout, -1)
-    dcols = (w.reshape(cout, -1).T @ dout2).reshape(cin, k, k, oh, ow, bsz)
+    dout2 = dout.transpose(1, 0, 2, 3).reshape(cout, -1)
+    dcols = (w.reshape(cout, -1).T @ dout2).reshape(cin, k, k, bsz, oh, ow)
     dxp = np.zeros((bsz, cin, h + 2 * pad, wid + 2 * pad), dtype=dcols.dtype)
     for (i, j), dt in zip(np.ndindex(k, k), _window_taps(dxp, k, stride, oh, ow)):
-        dt += dcols[:, i, j].transpose(3, 0, 1, 2)
+        dt += dcols[:, i, j].transpose(1, 0, 2, 3)
     return dxp[:, :, pad : pad + h, pad : pad + wid]
 
 

@@ -199,15 +199,14 @@ def _counted(monkeypatch, name):
 
 def test_eval_conv_blocks_match_train_forward_bytewise(rng, monkeypatch):
     """An eval forward that streams blocks of output positions through a
-    bounded column buffer gives the bytes of the padded-im2col oracle run
-    with the same blocks, at f32 and f64 with NaN, inf and signed zeros:
-    blocks of two and three output rows with ragged remainders of one and
-    two, blocks of two positions inside a row with and without a ragged
-    one, and a one-byte budget (one position, a row of B columns, per
-    block).  BLAS may round a GEMM over fewer columns in another last bit,
-    and it does on some of these tiny layers, so the train forward's single
-    GEMM is checked against the single-GEMM oracle; on the preset conv
-    layers at batch 100 the eval blocks give the train forward's bytes."""
+    bounded column buffer gives the bytes of the train forward and of the
+    padded-im2col oracle, at f32 and f64 with NaN, inf and signed zeros:
+    budgets of two and three samples, blocks of two and three output rows
+    with ragged remainders of one and two, blocks of two positions inside a
+    row with and without a ragged one, GEMM units of one row and of one
+    position, and a one-byte budget (which still lowers one unit at a
+    time, all of a single sample's output).  On the preset conv layers at batch 100 every eval forward takes
+    several blocks and gives the train forward's bytes too."""
     blocks = _counted(monkeypatch, "_im2col")
     seen = set()
     with np.errstate(invalid="ignore", over="ignore"):
@@ -221,22 +220,28 @@ def test_eval_conv_blocks_match_train_forward_bytewise(rng, monkeypatch):
                 ref = layer.forward(x, train=True)
                 assert _same_bits(ref, conv2d_padded_im2col(x, layer.w.value, layer.b.value, s, p))
                 oh, ow = ref.shape[2:]
+                unit = oh * ow if b == 1 else ow if b < ow or k * k * ow <= h * w else 1
                 position_bytes = c * k * k * b * x.itemsize
-                row_bytes = ow * position_bytes
-                part_row = ((1, 2), ("part row", ow % 2)) if ow > 2 else ((2 // ow, ow), None)
-                for budget, block, case in ((1, (1, 1), None),
-                                            (2 * position_bytes,) + part_row,
-                                            (2 * row_bytes, (2, ow), (2, oh % 2)),
-                                            (3 * row_bytes + 1, (3, ow), (3, oh % 3))):
+                sample_bytes = c * k * k * oh * ow * x.itemsize
+                for budget in (1, 2 * sample_bytes, 3 * sample_bytes + 1, 2 * position_bytes,
+                               2 * ow * position_bytes, 3 * ow * position_bytes + 1):
                     monkeypatch.setattr(L, "EVAL_COLS_BYTES", budget)
                     del blocks[:]
                     out = layer.forward(x)
-                    ny, nx = block
+                    per = max(unit, budget // position_bytes)
+                    ny, nx = (min(oh, per // ow), ow) if per >= ow else (1, per)
                     assert len(blocks) == -(-oh // ny) * -(-ow // nx), (trial, budget)
-                    ref = conv2d_padded_im2col(x, layer.w.value, layer.b.value, s, p, block)
                     assert _same_bits(out, ref), (trial, dtype, budget)
-                    seen.add(case)
-    assert seen >= {(2, 0), (2, 1), (3, 0), (3, 1), (3, 2), ("part row", 0), ("part row", 1)}
+                    seen.add(("rows", ny, oh % ny) if nx == ow else ("part row", nx, ow % nx))
+                    seen.add(("row unit", unit == ow))
+                monkeypatch.setattr(L, "EVAL_COLS_BYTES", 1)
+                del blocks[:]
+                out = layer.forward(x[:1])
+                assert len(blocks) == 1, trial  # a single sample is one unit
+                assert _same_bits(out, layer.forward(x[:1], train=True)), (trial, dtype)
+    assert seen >= {("rows", 2, 0), ("rows", 2, 1), ("rows", 3, 0), ("rows", 3, 1),
+                    ("rows", 3, 2), ("part row", 2, 0), ("part row", 2, 1),
+                    ("row unit", True), ("row unit", False)}
     monkeypatch.undo()
     multi = 0
     for name in ("lenet4", "convnet5", "leaky6"):
@@ -263,36 +268,6 @@ def test_eval_conv_whole_batch_in_one_block_is_one_lowering(rng):
             blocks = _counted(mp, "_im2col")
             layer.forward(x, train=train)
         assert len(blocks) == 1, (b, train)
-
-
-def test_train_conv_refilled_columns_keep_no_stale_entries(rng):
-    """A train forward refills the last train forward's columns when their
-    shape repeats; after NaN and inf inputs, inputs of another shape with
-    the same output size, another batch size or an eval forward, forward
-    and gradients still equal a fresh layer's bytes (no stale entry
-    survives on the padding)."""
-    spec = L.conv2d(2, 3, 3, 2, 1)
-    layer = L.build_layer(spec, np.random.default_rng(0), np.float64, {})
-    with np.errstate(invalid="ignore"):
-        for shape, train_first in (((4, 2, 6, 6), True), ((4, 2, 5, 5), True),
-                                   ((4, 2, 5, 5), True), ((3, 2, 5, 5), True),
-                                   ((3, 2, 5, 5), False), ((4, 2, 6, 6), True)):
-            if not train_first:
-                layer.forward(_special(rng, shape, np.float64))
-            x = _special(rng, shape, np.float64)
-            fresh = L.build_layer(spec, np.random.default_rng(0), np.float64, {})
-            dout = rng.standard_normal(fresh.out_shape(shape[1:]))
-            dout = np.broadcast_to(dout, (shape[0],) + dout.shape).copy()
-            got = [layer.forward(x, train=True)]
-            want = [fresh.forward(x, train=True)]
-            got.append(layer.backward(dout))
-            want.append(fresh.backward(dout))
-            got += [layer.w.grad, layer.b.grad]
-            want += [fresh.w.grad, fresh.b.grad]
-            for a, b in zip(got, want):
-                assert _same_bits(a, b), shape
-            # leave NaN and inf in every column a later refill could reuse
-            layer.forward(_special(rng, shape, np.float64) * np.inf, train=True)
 
 
 def test_eval_conv_peak_memory_is_bounded(rng):
@@ -366,14 +341,16 @@ def _batch_innermost(a):
 
 
 def test_batch_innermost_view_gives_the_bytes_of_nchw(rng):
-    """Every layer kind, a network forward and backward, and both winner
-    selections give the same bytes for an NCHW-contiguous input and for the
-    same values as a batch-innermost view, at f32 and f64 with NaN, inf,
-    signed zeros and (in the winner selections) rows with surplus ties."""
+    """Every layer kind that takes a 4-D input, a network forward and
+    backward (with fc after flatten, whose 2-D output is C-order), and both
+    winner selections give the same bytes for an NCHW-contiguous input and
+    for the same values as a batch-innermost view, at f32 and f64 with NaN,
+    inf, signed zeros and (in the winner selections) rows with surplus
+    ties."""
     kinds = [(L.conv2d(3, 4, 3, 2, 1), (3, 7, 6)), (L.maxpool(3, 1, 1), (3, 5, 6)),
              (L.maxpool(2, 2), (2, 6, 6)), (L.avgpool(3, 1, 1), (3, 5, 6)),
              (L.avgpool(2, 2), (2, 6, 6)), (L.relu(), (3, 4, 5)), (L.leaky_relu(0.1), (3, 4, 5)),
-             (L.dropout(0.4), (3, 4, 5)), (L.flatten(), (3, 4, 5)), (L.fc(300, 37), (300,))]
+             (L.dropout(0.4), (3, 4, 5)), (L.flatten(), (3, 4, 5))]
     specs = [L.leaky_relu(0.1), L.conv2d(2, 4, 3, 1, 1), L.relu(), L.skip_save(),
              L.maxpool(3, 1, 1), L.leaky_relu(0.2), L.skip_add(), L.avgpool(2, 2),
              L.flatten(), L.fc(36, 5)]
@@ -382,8 +359,6 @@ def test_batch_innermost_view_gives_the_bytes_of_nchw(rng):
         for dtype in (np.float32, np.float64):
             for spec, shape in kinds:
                 x = _special(rng, (20,) + shape, dtype)
-                if spec.kind == "fc":  # one NaN or inf would reach every output
-                    x = np.nan_to_num(x, posinf=2.0, neginf=-2.0)
                 outs = []
                 for xs in (x, _batch_innermost(x)):
                     layer = L.build_layer(spec, np.random.default_rng(3), dtype, {})
