@@ -75,15 +75,17 @@ class Network:
 
     # -- masks ------------------------------------------------------------
 
+    def _check_maskable(self, idx):
+        if not 0 <= idx < len(self.layers):
+            raise ConfigError(f"masked layer index {idx} out of range")
+        if idx == len(self.layers) - 1:
+            raise ConfigError("the final layer output must not carry an activation mask")
+
     def set_mask_cfg(self, cfg):
         """Attach a winner-rate config; the output layer must stay unmasked."""
         if cfg is not None:
-            last = len(self.layers) - 1
             for idx in cfg.per_layer_rate:
-                if not 0 <= idx < len(self.layers):
-                    raise ConfigError(f"masked layer index {idx} out of range")
-                if idx == last:
-                    raise ConfigError("the final layer output must not carry an activation mask")
+                self._check_maskable(idx)
         self.mask_cfg = cfg
 
     @contextmanager
@@ -117,6 +119,20 @@ class Network:
 
     # -- passes -----------------------------------------------------------
 
+    def _as_input(self, x):
+        x = np.asarray(x, dtype=self.dtype)
+        if x.shape[1:] != self.input_shape:
+            raise ShapeError(
+                f"input shape {x.shape[1:]} does not match network input {self.input_shape}"
+            )
+        return x
+
+    def _layer_forward(self, i, x, train=False, rng=None):
+        try:
+            return self.layers[i].forward(x, train=train, rng=rng)
+        except (ValueError, ShapeError) as e:
+            raise ShapeError(f"layer {i} ({self.layers[i].kind}): {e}") from None
+
     def _dynamic_mask(self, i, acts):
         cfg = self.mask_cfg
         if cfg is None:
@@ -141,20 +157,13 @@ class Network:
         """
         if mode not in ("train", "eval"):
             raise ConfigError(f"forward mode must be train or eval, got {mode!r}")
-        x = np.asarray(x, dtype=self.dtype)
-        if x.shape[1:] != self.input_shape:
-            raise ShapeError(
-                f"input shape {x.shape[1:]} does not match network input {self.input_shape}"
-            )
+        x = self._as_input(x)
         train = mode == "train"
         last = len(self.layers) - 1
         keep = range(len(self.layers)) if keep is None else set(keep) | {last}
         post, act_masks = [], [None] * len(self.layers)
-        for i, layer in enumerate(self.layers):
-            try:
-                x = layer.forward(x, train=train, rng=rng)
-            except (ValueError, ShapeError) as e:
-                raise ShapeError(f"layer {i} ({layer.kind}): {e}") from None
+        for i in range(len(self.layers)):
+            x = self._layer_forward(i, x, train, rng)
             t = self._dynamic_mask(i, x)
             if t is not None:
                 act_masks[i] = t
@@ -162,6 +171,46 @@ class Network:
             post.append(x if i in keep else None)
         self._act_masks = act_masks if train else None
         return ForwardResult(post, act_masks)
+
+    def sweep_logits(self, x, layers, rates):
+        """Eval logits of one batch through the dense net, and through the
+        net with only one layer's output masked to its exact top-``rate``
+        winners, for every swept layer and rate.
+
+        Returns ``(dense, {(layer, rate): logits})``; the attached mask
+        config plays no part.  The batch makes one depth-first walk: the
+        dense trunk runs once, and at each swept layer ``l`` only layers
+        ``l+1...`` run, once per rate, on ``l``'s masked output.  The skip
+        branches pending at ``l`` (unmasked, as a masked forward saves them)
+        are put back before each of those suffixes and before the trunk goes
+        on.  So one trunk activation and one suffix are alive at a time,
+        and only logits are kept.  Layers and rates are validated before
+        any layer runs.
+        """
+        for layer in layers:
+            self._check_maskable(layer)
+        for rate in rates:
+            if not 0.0 < rate <= 1.0:
+                raise ConfigError(f"winner rate must be in (0,1], got {rate}")
+        x = self._as_input(x)
+        swept = set(layers)
+        masked = {}
+        try:
+            for i in range(len(self.layers)):
+                x = self._layer_forward(i, x)
+                if i not in swept:
+                    continue
+                pending = dict(self._skip_state)
+                for rate in rates:
+                    y = x * sparsity.select_winners_batch(x, rate)
+                    for j in range(i + 1, len(self.layers)):
+                        y = self._layer_forward(j, y)
+                    masked[i, rate] = y
+                    self._skip_state.clear()
+                    self._skip_state.update(pending)
+        finally:
+            self._skip_state.clear()
+        return x, masked
 
     def backward(self, dlogits):
         """Backpropagate from the logits; fills every param's grad buffer.

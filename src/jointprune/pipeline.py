@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import logging
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -89,6 +90,10 @@ def run_epoch(net, opt, split, cfg, rng, alpha=0.0):
     return tuple(totals / max(1, batches))
 
 
+def _hits(logits, labels):
+    return int((logits.argmax(axis=1) == labels).sum())
+
+
 def evaluate(net, split, mode="jp", stat_layers=None):
     """Top-1 accuracy plus measured activation sparsity.
 
@@ -115,7 +120,7 @@ def evaluate(net, split, mode="jp", stat_layers=None):
     with net.masks(cfg if mode == "jp" else None):
         for idx in minibatches(len(split), EVAL_BATCH):
             result = net.forward(split.images[idx], mode="eval", keep=layers)
-            correct += int((result.logits.argmax(axis=1) == split.labels[idx]).sum())
+            correct += _hits(result.logits, split.labels[idx])
             for i in layers:
                 a = result.post_mask[i]
                 nnz[i] += nonzero_count(a)
@@ -148,23 +153,30 @@ def train_dense(net, cfg, train_split, val_split=None, epochs=None):
 def sensitivity_sweep(net, val_split, rates, layers):
     """Accuracy drop per layer over candidate winner rates.
 
-    Each layer is masked alone (all others untouched); no parameters are
-    modified.  The drop at rate 1.0 is zero by construction.
+    Each layer is masked alone to its exact top-k winners (all others
+    untouched, whatever mask config the net carries); no parameters are
+    modified.  The drop at rate 1.0 is zero by construction.  ``points``
+    follows the order of ``layers``, each layer's points ascend by rate.
+    Every batch is one :meth:`Network.sweep_logits` walk, which rejects a
+    rate outside (0, 1] or an unmaskable layer before any layer runs.
     """
     if len(rates) == 0 or len(val_split) == 0:
         raise ConfigError("sensitivity sweep needs a non-empty rate grid and split")
-    base = evaluate(net, val_split, mode="dense")[0]
+    rates = sorted(rates)
+    swept = [r for r in dict.fromkeys(rates) if r != 1.0]
+    base_hits, hits = 0, Counter()
+    for idx in minibatches(len(val_split), EVAL_BATCH):
+        labels = val_split.labels[idx]
+        dense, masked = net.sweep_logits(val_split.images[idx], layers, swept)
+        base_hits += _hits(dense, labels)
+        for key, logits in masked.items():
+            hits[key] += _hits(logits, labels)
+    n = len(val_split)
+    base = base_hits / n
     curve = SensitivityCurve(baseline_accuracy=base)
     for layer in layers:
-        pts = []
-        for rate in sorted(rates):
-            if rate >= 1.0:
-                pts.append((1.0, 0.0))
-                continue
-            with net.masks(WinnerRateConfig(per_layer_rate={layer: rate})):
-                acc = evaluate(net, val_split, mode="jp")[0]
-            pts.append((rate, base - acc))
-        curve.points[layer] = pts
+        curve.points[layer] = [(1.0, 0.0) if r == 1.0 else (r, base - hits[layer, r] / n)
+                               for r in rates]
     return curve
 
 

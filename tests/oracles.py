@@ -1,14 +1,17 @@
 """Independent reference implementations used as test oracles.
 
 Everything here is deliberately naive (nested loops, full sorts, central
-finite differences) and stays independent of the library code paths it
-checks.
+finite differences, one whole evaluation per sweep point) and stays
+independent of the library code paths it checks.
 """
 
 import math
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+
+from jointprune.pipeline import SensitivityCurve, evaluate
+from jointprune.sparsity import WinnerRateConfig
 
 
 def conv2d_naive(x, w, b, stride, pad):
@@ -294,3 +297,22 @@ def adadelta_scalar_reference(grads, lr, rho, eps):
         w += lr * delta
         trace.append(w)
     return trace
+
+
+def sensitivity_sweep_reference(net, val_split, rates, layers):
+    """The sweep as ``1 + L·R`` whole masked evaluations: the dense baseline,
+    then one ``evaluate`` of the net with only ``layer`` masked per layer
+    and rate.  Rates at or above 1.0 record ``(1.0, 0.0)`` unevaluated."""
+    base = evaluate(net, val_split, mode="dense")[0]
+    curve = SensitivityCurve(baseline_accuracy=base)
+    for layer in layers:
+        pts = []
+        for rate in sorted(rates):
+            if rate >= 1.0:
+                pts.append((1.0, 0.0))
+                continue
+            with net.masks(WinnerRateConfig(per_layer_rate={layer: rate})):
+                acc = evaluate(net, val_split, mode="jp")[0]
+            pts.append((rate, base - acc))
+        curve.points[layer] = pts
+    return curve

@@ -190,3 +190,18 @@ def test_cli_eval_on_empty_test_split_is_one_line_error(tmp_path, capsys, rng):
                    f"outputs: {tmp_path / 'out'}\n")
     assert main(["eval", str(cfg), "--checkpoint", str(ckpt), "--mode", "dense"]) == 1
     _one_line_error(capsys, "empty test split")
+
+
+def test_cli_sweep_rate_above_one_is_one_line_error(tmp_path, capsys, rng):
+    data = tmp_path / "data"
+    data.mkdir()
+    _write_mnist(data, "train", 20, rng)
+    _write_mnist(data, "t10k", 5, rng)
+    ckpt = tmp_path / "dense.ckpt"
+    save_checkpoint(checkpoint_from_network(get_preset("mlp3").build()), ckpt)
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text(f"model: mlp3\ndata: {{dir: {data}, val_size: 5}}\n"
+                   f"prune: {{rate_grid: [0.3, 1.5]}}\noutputs: {tmp_path / 'out'}\n")
+    assert main(["sweep-sensitivity", str(cfg), "--checkpoint", str(ckpt)]) == 1
+    _one_line_error(capsys, "winner rate", "1.5")
+    assert not (tmp_path / "out" / "sensitivity.csv").exists()

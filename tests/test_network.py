@@ -5,6 +5,7 @@ import pytest
 
 from jointprune import layers as L
 from jointprune.errors import ConfigError
+from jointprune.models import get_preset
 from jointprune.network import (
     Network,
     l1_penalty,
@@ -181,6 +182,35 @@ def test_skip_state_is_released_after_forward(rng):
     expected = {5: h2.T @ dlogits, 3: h1.T @ dh2, 1: x.reshape(5, -1).T @ dh1}
     for i, grad in expected.items():
         np.testing.assert_allclose(net.layers[i].w.grad, grad, rtol=1e-12, atol=1e-15)
+
+
+def test_sweep_logits_match_masked_forwards_across_the_skip_block(rng):
+    """Each branch of the one-walk sweep gives the bytes of a whole forward
+    with only that layer masked, on leaky6's layers around its skip block
+    (3 feeds skip_save 4, whose branch stays unmasked; 7 is the skip_add);
+    the pending branch is released after every walk, also when a suffix
+    raises with it still saved."""
+    net = get_preset("leaky6").build(seed=3)
+    x = rng.standard_normal((6,) + net.input_shape)
+    layers, rates = [8, 3, 4, 5, 6, 7], [0.1, 0.5, 1.0]
+    dense, masked = net.sweep_logits(x, layers, rates)
+    assert net._skip_state == {}
+    assert dense.tobytes() == net.forward(x, keep=()).logits.tobytes()
+    assert sorted(masked) == sorted((i, r) for i in layers for r in rates)
+    for (i, rate), logits in masked.items():
+        with net.masks(WinnerRateConfig(per_layer_rate={i: rate})):
+            assert logits.tobytes() == net.forward(x, keep=()).logits.tobytes(), (i, rate)
+    assert masked[4, 0.1].tobytes() != dense.tobytes()
+
+    def broken(x, **kw):
+        raise RuntimeError("suffix failed")
+
+    net.layers[6].forward = broken  # first reached in a suffix of layer 4
+    with pytest.raises(RuntimeError, match="suffix failed"):
+        net.sweep_logits(x, [4], [0.5])
+    assert net._skip_state == {}
+    del net.layers[6].forward
+    assert net.sweep_logits(x, [4], [0.5])[1][4, 0.5].tobytes() == masked[4, 0.5].tobytes()
 
 
 def test_backward_skips_first_weight_layer_input_gradient(rng, monkeypatch):

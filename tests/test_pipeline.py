@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from jointprune import layers as L
+from jointprune import pipeline
 from jointprune.datasets import DatasetSplit
 from jointprune.errors import ConfigError, DivergenceError
 from jointprune.models import get_preset
@@ -27,7 +28,8 @@ from jointprune.pipeline import (
     train_dense,
     weight_prune_only,
 )
-from jointprune.sparsity import WinnerRateConfig
+from jointprune.sparsity import PREDICTED_THRESHOLD, WinnerRateConfig
+from oracles import sensitivity_sweep_reference
 
 
 def _blobs(n=120, seed=0):
@@ -94,9 +96,66 @@ def test_sensitivity_matches_independent_eval():
 
 
 def test_sensitivity_sweep_validation():
+    """A bad grid or layer list is rejected before any layer runs: a rate
+    above 1.0 is not recorded as the point (1.0, 0.0)."""
     net, _ = _trained()
-    with pytest.raises(ConfigError):
-        sensitivity_sweep(net, _blobs(), rates=[], layers=[2])
+    ran = []
+    for layer in net.layers:
+        layer.forward = lambda x, forward=layer.forward, **kw: ran.append(x) or forward(x, **kw)
+    bad = [([], [2], "non-empty"),
+           ([0.3, 1.5], [2], "got 1.5"),
+           ([0.0, 0.5], [2], "got 0.0"),
+           ([-0.2, 1.0], [2], "got -0.2"),
+           ([float("nan")], [2], "got nan"),
+           ([0.5], [2, 4], "index 4 out of range"),
+           ([0.5], [-1], "index -1 out of range"),
+           ([0.5], [2, 3], "final layer")]
+    for rates, layers, match in bad:
+        with pytest.raises(ConfigError, match=match):
+            sensitivity_sweep(net, _blobs(), rates=rates, layers=layers)
+    assert ran == []
+    assert net._skip_state == {}
+
+
+def _labelled_by(net, n, seed=0):
+    """``n`` random inputs labelled with the dense net's own predictions,
+    so every prediction a mask changes counts as a drop."""
+    images = np.random.default_rng(seed).standard_normal((n,) + net.input_shape)
+    with net.masks(None):
+        labels = net.forward(images, keep=()).logits.argmax(axis=1)
+    return DatasetSplit(images.astype(np.float32), labels, "val")
+
+
+def _param_bytes(net):
+    return [(p.value.tobytes(), None if p.mask is None else p.mask.tobytes())
+            for p in net.params()]
+
+
+@pytest.mark.parametrize("name", ["mlp3", "lenet4", "convnet5", "leaky6"])
+def test_sensitivity_sweep_matches_reference(name, monkeypatch):
+    """The one-walk sweep equals one whole masked evaluation per point, bit
+    for bit, over several batches and a ragged tail; it masks by exact top-k
+    whatever config the net carries, keeps the caller's layer order and
+    leaves the net as it found it.  leaky6 sweeps its skip_save (4) and
+    skip_add (7) layers."""
+    pre = get_preset(name)
+    net = pre.build(seed=1)
+    prune_to_targets(net, pre.weight_targets)
+    attached = WinnerRateConfig(per_layer_rate=pre.reference_rates, downsample_rate=0.1,
+                                selection_mode=PREDICTED_THRESHOLD)
+    net.set_mask_cfg(attached)
+    monkeypatch.setattr(pipeline, "EVAL_BATCH", 7)
+    val = _labelled_by(net, 17)
+    rates, layers = [1.0, 0.05, 0.3], pre.mask_layers[::-1]
+    before = _param_bytes(net)
+    curve = sensitivity_sweep(net, val, rates, layers)
+    assert net.mask_cfg is attached and net._skip_state == {}
+    assert _param_bytes(net) == before
+    ref = sensitivity_sweep_reference(net, val, rates, layers)
+    assert curve.baseline_accuracy == ref.baseline_accuracy == 1.0
+    assert list(curve.points) == layers
+    assert curve.points == ref.points
+    assert any(drop > 0 for pts in curve.points.values() for _, drop in pts)
 
 
 def test_choose_winner_rates():
@@ -321,3 +380,27 @@ def test_evaluate_holds_only_the_outputs_it_reads():
     finally:
         tracemalloc.stop()
     assert peak < kept + max(sizes), (peak, kept, max(sizes))
+
+
+def test_sensitivity_sweep_peak_memory_stays_near_the_reference():
+    """The one-walk leaky6 sweep keeps one trunk activation and one masked
+    suffix alive: its peak stays within 1.1x that of one whole masked
+    evaluation per point."""
+    pre = get_preset("leaky6")
+    net = pre.build(seed=1)
+    val = _labelled_by(net, 200)
+    rates = (0.3, 1.0)
+
+    def peak(sweep):
+        sweep(net, val, rates, pre.mask_layers)  # first-call allocations stay out
+        tracemalloc.start()
+        try:
+            curve = sweep(net, val, rates, pre.mask_layers)
+            return tracemalloc.get_traced_memory()[1], curve
+        finally:
+            tracemalloc.stop()
+
+    walk, curve = peak(sensitivity_sweep)
+    ref, ref_curve = peak(sensitivity_sweep_reference)
+    assert curve.points == ref_curve.points
+    assert walk <= 1.1 * ref, (walk, ref)
