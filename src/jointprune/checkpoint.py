@@ -59,10 +59,10 @@ def _param_names(net):
     return names
 
 
-def checkpoint_from_network(net, mask_cfg=None, meta=None):
-    """Snapshot a network; a non-finite param raises ``CheckpointError``, so
-    no diverged network can be saved."""
-    cfg = mask_cfg if mask_cfg is not None else net.mask_cfg
+def checkpoint_from_network(net, meta=None):
+    """Snapshot a network with its attached winner-rate config; a non-finite
+    param raises ``CheckpointError``, so no diverged network can be saved."""
+    cfg = net.mask_cfg
     params, masks = {}, {}
     for name, p in _param_names(net):
         if not np.isfinite(p.value).all():

@@ -69,8 +69,7 @@ def cmd_prune(exp, args):
     acc, stats = pipeline.evaluate(net, test, mode="jp")
     path = _out(exp, "jp.ckpt")
     ckpt_io.save_checkpoint(
-        ckpt_io.checkpoint_from_network(net, exp.mask_cfg,
-                                        meta={"seed": exp.train_cfg.seed}),
+        ckpt_io.checkpoint_from_network(net, meta={"seed": exp.train_cfg.seed}),
         path,
     )
     metrics.emit_report(pipeline.history_rows(history), _out(exp, "prune_history.csv"))
@@ -142,7 +141,7 @@ def build_parser():
                                      description="joint weight/activation pruning toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **extra):
+    def add(name, fn):
         p = sub.add_parser(name)
         p.add_argument("config", help="experiment config YAML")
         p.set_defaults(fn=fn)

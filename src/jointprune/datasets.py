@@ -78,10 +78,6 @@ def load_mnist(image_path, label_path, role="train"):
     """Load one MNIST split; pixels scaled to [0,1], shape (N, 1, 28, 28)."""
     images = _read_idx_images(image_path)
     labels = _read_idx_labels(label_path)
-    if len(images) != len(labels):
-        raise DataFormatError(
-            f"MNIST image count {len(images)} != label count {len(labels)}"
-        )
     images = (images.astype(np.float32) / 255.0)[:, None, :, :]
     return DatasetSplit(images, labels, role)
 

@@ -8,7 +8,9 @@ gives the same bytes.  2-D activations are C-order (flatten copies the
 batch-innermost view).  A train-mode forward caches what the layer's
 backward pass needs, so a layer instance serves one forward/backward pair
 at a time (the network is mutated by a single writer); an eval-mode
-forward keeps no backward state.
+forward keeps no backward state.  skip_save and skip_add are kind markers
+with no forward or backward: the network carries their branch through a
+pass.
 
 Conv lowers to (C*k*k, oh*ow*B) im2col columns, filled straight from the
 unpadded input with each kernel tap clipped to the output positions that
@@ -243,16 +245,14 @@ class Param:
 
 
 class Layer:
-    """Every layer kind is built as ``cls(spec, rng, dtype, skip_state)``;
-    ``skip_state`` is the network's dict shared by skip_save/skip_add, and
-    a None ``rng`` leaves the weights at zero."""
+    """Every layer kind is built as ``cls(spec, rng, dtype)``; a None
+    ``rng`` leaves the weights at zero."""
 
     kind = None
 
-    def __init__(self, spec, rng, dtype, skip_state):
+    def __init__(self, spec, rng, dtype):
         self.spec = spec
         self.params = []
-        self._skip_state = skip_state
 
     def out_shape(self, in_shape):
         return in_shape
@@ -267,8 +267,8 @@ class Layer:
 class Dense(Layer):
     kind = "fc"
 
-    def __init__(self, spec, rng, dtype, skip_state):
-        super().__init__(spec, rng, dtype, skip_state)
+    def __init__(self, spec, rng, dtype):
+        super().__init__(spec, rng, dtype)
         n_in, n_out = spec.geometry["n_in"], spec.geometry["n_out"]
         self.w = Param("w", _uniform_init(rng, (n_in, n_out), n_in, dtype))
         self.b = Param("b", np.zeros(n_out, dtype=dtype))
@@ -294,8 +294,8 @@ class Dense(Layer):
 class Conv2d(Layer):
     kind = "conv2d"
 
-    def __init__(self, spec, rng, dtype, skip_state):
-        super().__init__(spec, rng, dtype, skip_state)
+    def __init__(self, spec, rng, dtype):
+        super().__init__(spec, rng, dtype)
         g = spec.geometry
         k = g["kernel"]
         self.w = Param("w", _uniform_init(rng, (g["out_ch"], g["in_ch"], k, k),
@@ -541,40 +541,16 @@ class Flatten(Layer):
 
 
 class SkipSave(Layer):
-    """Remember the current activation for a later additive skip join."""
+    """Marks where a pass saves its activation as a skip branch; the
+    network carries the branch (see :class:`~jointprune.network.Network`)."""
 
     kind = "skip_save"
 
-    def forward(self, x, train=False, rng=None):
-        self._skip_state[self.spec.geometry["tag"]] = x
-        return x
-
-    def backward(self, dout):
-        extra = self._skip_state.pop("d_" + self.spec.geometry["tag"], None)
-        if extra is not None:
-            return dout + extra
-        return dout
-
 
 class SkipAdd(Layer):
-    """Add the remembered activation back in (identity shortcut)."""
+    """Marks where a pass adds the saved branch back in (identity shortcut)."""
 
     kind = "skip_add"
-
-    def forward(self, x, train=False, rng=None):
-        # pop: backward never reads the branch, so it dies with this forward
-        saved = self._skip_state.pop(self.spec.geometry["tag"], None)
-        if saved is None:
-            raise ShapeError(f"skip_add {self.spec.geometry['tag']!r} has no saved branch")
-        if saved.shape != x.shape:
-            raise ShapeError(
-                f"skip_add {self.spec.geometry['tag']!r}: branch shape {saved.shape} != {x.shape}"
-            )
-        return x + saved
-
-    def backward(self, dout):
-        self._skip_state["d_" + self.spec.geometry["tag"]] = dout
-        return dout
 
 
 _LAYER_CLASSES = {cls.kind: cls for cls in (
@@ -582,5 +558,5 @@ _LAYER_CLASSES = {cls.kind: cls for cls in (
 LAYER_KINDS = tuple(_LAYER_CLASSES)
 
 
-def build_layer(spec, rng, dtype, skip_state):
-    return _LAYER_CLASSES[spec.kind](spec, rng, dtype, skip_state)
+def build_layer(spec, rng, dtype):
+    return _LAYER_CLASSES[spec.kind](spec, rng, dtype)

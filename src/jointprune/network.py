@@ -3,7 +3,10 @@
 The network owns its layers, their static weight masks, and (optionally) a
 :class:`~jointprune.sparsity.WinnerRateConfig` describing which layer
 outputs get a dynamic per-sample winner mask.  The final layer's output is
-never masked.
+never masked.  Skip branches belong to one pass: ``forward``,
+``sweep_logits`` and ``backward`` each keep the branches (or branch
+gradients) of their skip_save/skip_add layers in a local dict, so none
+outlives the call.
 """
 
 from __future__ import annotations
@@ -43,9 +46,8 @@ class Network:
         self.specs = [LayerSpec(s.kind, dict(s.geometry)) for s in specs]
         self.input_shape = tuple(input_shape)
         self.dtype = np.dtype(dtype)
-        self._skip_state = {}
         rng = np.random.default_rng(seed) if init else None
-        self.layers = [build_layer(s, rng, self.dtype, self._skip_state) for s in self.specs]
+        self.layers = [build_layer(s, rng, self.dtype) for s in self.specs]
         self.layer_shapes = self._resolve_shapes()
         # backward ends at the first layer with params: no gradient below
         # it is ever read
@@ -56,17 +58,18 @@ class Network:
     def _resolve_shapes(self):
         shapes = []
         cur = self.input_shape
-        skip_shapes = {}
+        branches = {}  # tag -> shape of the branch saved and not yet added
         for i, (spec, layer) in enumerate(zip(self.specs, self.layers)):
             try:
                 if spec.kind == "skip_save":
-                    skip_shapes[spec.geometry["tag"]] = cur
+                    branches[spec.geometry["tag"]] = cur
                 elif spec.kind == "skip_add":
                     tag = spec.geometry["tag"]
-                    if skip_shapes.get(tag) != cur:
-                        raise ShapeError(
-                            f"skip branch {tag!r} shape {skip_shapes.get(tag)} != {cur}"
-                        )
+                    if tag not in branches:
+                        raise ShapeError(f"skip_add {tag!r} has no saved branch")
+                    saved = branches.pop(tag)
+                    if saved != cur:
+                        raise ShapeError(f"skip branch {tag!r} shape {saved} != {cur}")
                 cur = layer.out_shape(cur)
             except ShapeError as e:
                 raise ShapeError(f"layer {i} ({spec.kind}): {e}") from None
@@ -127,11 +130,19 @@ class Network:
             )
         return x
 
-    def _layer_forward(self, i, x, train=False, rng=None):
+    def _layer_forward(self, i, x, branches, train=False, rng=None):
+        """Layer i's output.  ``branches`` holds the skip branches the
+        calling pass has saved and not yet added, by tag."""
+        layer = self.layers[i]
+        if layer.kind == "skip_save":
+            branches[layer.spec.geometry["tag"]] = x
+            return x
+        if layer.kind == "skip_add":
+            return x + branches.pop(layer.spec.geometry["tag"])
         try:
-            return self.layers[i].forward(x, train=train, rng=rng)
+            return layer.forward(x, train=train, rng=rng)
         except (ValueError, ShapeError) as e:
-            raise ShapeError(f"layer {i} ({self.layers[i].kind}): {e}") from None
+            raise ShapeError(f"layer {i} ({layer.kind}): {e}") from None
 
     def _dynamic_mask(self, i, acts):
         cfg = self.mask_cfg
@@ -153,7 +164,8 @@ class Network:
         a mask config is attached.  Only a train-mode forward keeps the
         state :meth:`backward` needs.  ``keep`` names the layers whose
         outputs the result holds (None: all of them); every other output is
-        freed once the next layer has read it.
+        freed once the next layer has read it.  A skip branch is a local of
+        this call, so none outlives it, also when a layer raises.
         """
         if mode not in ("train", "eval"):
             raise ConfigError(f"forward mode must be train or eval, got {mode!r}")
@@ -161,9 +173,9 @@ class Network:
         train = mode == "train"
         last = len(self.layers) - 1
         keep = range(len(self.layers)) if keep is None else set(keep) | {last}
-        post, act_masks = [], [None] * len(self.layers)
+        post, act_masks, branches = [], [None] * len(self.layers), {}
         for i in range(len(self.layers)):
-            x = self._layer_forward(i, x, train, rng)
+            x = self._layer_forward(i, x, branches, train, rng)
             t = self._dynamic_mask(i, x)
             if t is not None:
                 act_masks[i] = t
@@ -180,11 +192,11 @@ class Network:
         Returns ``(dense, {(layer, rate): logits})``; the attached mask
         config plays no part.  The batch makes one depth-first walk: the
         dense trunk runs once, and at each swept layer ``l`` only layers
-        ``l+1...`` run, once per rate, on ``l``'s masked output.  The skip
-        branches pending at ``l`` (unmasked, as a masked forward saves them)
-        are put back before each of those suffixes and before the trunk goes
-        on.  So one trunk activation and one suffix are alive at a time,
-        and only logits are kept.  Layers and rates are validated before
+        ``l+1...`` run, once per rate, on ``l``'s masked output.  Each
+        suffix runs on its own copy of the skip branches pending at ``l``
+        (unmasked, as a masked forward saves them), so the trunk goes on with
+        them intact.  So one trunk activation and one suffix are alive at a
+        time, and only logits are kept.  Layers and rates are validated before
         any layer runs.
         """
         for layer in layers:
@@ -194,22 +206,17 @@ class Network:
                 raise ConfigError(f"winner rate must be in (0,1], got {rate}")
         x = self._as_input(x)
         swept = set(layers)
-        masked = {}
-        try:
-            for i in range(len(self.layers)):
-                x = self._layer_forward(i, x)
-                if i not in swept:
-                    continue
-                pending = dict(self._skip_state)
-                for rate in rates:
-                    y = x * sparsity.select_winners_batch(x, rate)
-                    for j in range(i + 1, len(self.layers)):
-                        y = self._layer_forward(j, y)
-                    masked[i, rate] = y
-                    self._skip_state.clear()
-                    self._skip_state.update(pending)
-        finally:
-            self._skip_state.clear()
+        masked, branches = {}, {}
+        for i in range(len(self.layers)):
+            x = self._layer_forward(i, x, branches)
+            if i not in swept:
+                continue
+            for rate in rates:
+                y = x * sparsity.select_winners_batch(x, rate)
+                suffix = dict(branches)
+                for j in range(i + 1, len(self.layers)):
+                    y = self._layer_forward(j, y, suffix)
+                masked[i, rate] = y
         return x, masked
 
     def backward(self, dlogits):
@@ -218,20 +225,31 @@ class Network:
         Gradients crossing a masked layer output are multiplied by that
         layer's winner mask, and gradients of statically masked-out weights
         are forced to exact zero.  Needs a train-mode :meth:`forward` first.
-        Returns None: the first weight layer's input gradient feeds no param,
-        so neither it nor any layer below it runs.
+        A skip_add hands its gradient to its branch as well, and the
+        skip_save adds it in after its own winner mask.  Returns None: the
+        first weight layer's input gradient feeds no param, so neither it nor
+        any layer below it runs.
         """
         if self._act_masks is None:
             raise ConfigError("backward needs a train-mode forward")
-        dout = dlogits
+        dout, dbranches = dlogits, {}
         for i in range(len(self.layers) - 1, -1, -1):
             t = self._act_masks[i]
             if t is not None:
                 dout = dout * t
-            if i == self._grad_floor:
-                self.layers[i].backward(dout, input_grad=False)
+            layer = self.layers[i]
+            if layer.kind == "skip_add":
+                dbranches[layer.spec.geometry["tag"]] = dout
+            elif layer.kind == "skip_save":
+                # no local names the branch gradient: it dies with this add
+                tag = layer.spec.geometry["tag"]
+                if tag in dbranches:
+                    dout = dout + dbranches.pop(tag)
+            elif i == self._grad_floor:
+                layer.backward(dout, input_grad=False)
                 break
-            dout = self.layers[i].backward(dout)
+            else:
+                dout = layer.backward(dout)
         for p in self.params():
             if p.mask is not None:
                 p.grad *= p.mask

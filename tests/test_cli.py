@@ -7,6 +7,7 @@ import pytest
 
 from jointprune.checkpoint import checkpoint_from_network, load_checkpoint, save_checkpoint
 from jointprune.cli import main
+from jointprune.config import load_experiment
 from jointprune.metrics import read_report
 from jointprune.models import get_preset
 
@@ -71,7 +72,8 @@ def test_prune_and_eval(workspace, capsys):
     assert main(["prune", str(cfg)]) == 0
     assert "test_acc=" in capsys.readouterr().out
     ckpt = load_checkpoint(out / "jp.ckpt")
-    assert ckpt.winner_cfg is not None
+    rates = load_experiment(cfg).mask_cfg.per_layer_rate
+    assert ckpt.winner_cfg["per_layer_rate"] == {str(k): float(v) for k, v in rates.items()}
     assert ckpt.masks  # static weight masks present
 
     assert main(["eval", str(cfg), "--mode", "jp"]) == 0

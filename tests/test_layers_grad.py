@@ -1,5 +1,5 @@
-"""Forward-pass examples, conv/pool naive-loop oracles and finite-difference
-gradient checks for every layer kind."""
+"""Forward-pass examples, conv/pool naive-loop oracles, Param masking and
+finite-difference gradient checks for every layer kind."""
 
 import tracemalloc
 
@@ -39,13 +39,13 @@ def test_fc_identity():
 
 
 def test_leaky_relu_values():
-    layer = L.build_layer(L.leaky_relu(0.1), None, np.float64, {})
+    layer = L.build_layer(L.leaky_relu(0.1), None, np.float64)
     out = layer.forward(np.array([[-1.0, 2.0]]))
     assert np.allclose(out, [[-0.1, 2.0]])
 
 
 def test_relu_values():
-    layer = L.build_layer(L.relu(), None, np.float64, {})
+    layer = L.build_layer(L.relu(), None, np.float64)
     out = layer.forward(np.array([[-1.0, 0.0, 2.0]]))
     assert np.array_equal(out, [[0.0, 0.0, 2.0]])
 
@@ -112,7 +112,7 @@ def test_pool_backward_matches_naive(rng):
         x = rng.integers(-2, 3, size=(2, c, h, h)).astype(np.float64)
         for spec, fwd, bwd, scale in ((L.maxpool, maxpool_naive, maxpool_backward_naive, 1),
                                       (L.avgpool, avgpool_naive, avgpool_backward_naive, k * k)):
-            layer = L.build_layer(spec(k, stride, pad), None, np.float64, {})
+            layer = L.build_layer(spec(k, stride, pad), None, np.float64)
             out = layer.forward(x, train=True)
             ref = fwd(x, k, stride, pad)
             assert np.array_equal(out, ref), f"trial {trial} {spec.__name__}"
@@ -175,7 +175,7 @@ def test_conv_matches_padded_im2col_bytewise(rng):
                      ("pad-only tap", _has_pad_only_tap(h, w, k, s, p))}
             for dtype in (np.float32, np.float64):
                 layer = L.build_layer(L.conv2d(c, cout, k, s, p), np.random.default_rng(trial),
-                                      dtype, {})
+                                      dtype)
                 layer.b.value = rng.standard_normal(cout).astype(dtype)
                 x = _special(rng, (b, c, h, w), dtype)
                 out = layer.forward(x, train=True)
@@ -214,7 +214,7 @@ def test_eval_conv_blocks_match_train_forward_bytewise(rng, monkeypatch):
             b = int(rng.integers(3, 8))
             for dtype in (np.float32, np.float64):
                 layer = L.build_layer(L.conv2d(c, cout, k, s, p), np.random.default_rng(trial),
-                                      dtype, {})
+                                      dtype)
                 layer.b.value = rng.standard_normal(cout).astype(dtype)
                 x = _special(rng, (b, c, h, w), dtype)
                 ref = layer.forward(x, train=True)
@@ -261,7 +261,7 @@ def test_eval_conv_blocks_match_train_forward_bytewise(rng, monkeypatch):
 def test_eval_conv_whole_batch_in_one_block_is_one_lowering(rng):
     """A batch whose columns fit the budget (batch-1 serving, for one)
     takes the single-lowering path; a train forward always does."""
-    layer = L.build_layer(L.conv2d(20, 50, 5, 1, 2), rng, np.float32, {})
+    layer = L.build_layer(L.conv2d(20, 50, 5, 1, 2), rng, np.float32)
     for b, train in ((1, False), (2, False), (50, True)):
         x = rng.standard_normal((b, 20, 14, 14)).astype(np.float32)
         with pytest.MonkeyPatch.context() as mp:
@@ -274,7 +274,7 @@ def test_eval_conv_peak_memory_is_bounded(rng):
     """A batch-500 eval forward of lenet4's conv2 (20->50, 5x5, pad 2,
     14x14 input) allocates the output and at most about one column budget,
     not the 196 MB of whole-batch columns."""
-    layer = L.build_layer(L.conv2d(20, 50, 5, 1, 2), rng, np.float32, {})
+    layer = L.build_layer(L.conv2d(20, 50, 5, 1, 2), rng, np.float32)
     x = rng.standard_normal((500, 20, 14, 14)).astype(np.float32)
     tracemalloc.start()
     try:
@@ -291,7 +291,7 @@ def test_conv_weight_grad_matches_naive_finite_differences(rng):
     for trial, (b, c, h, w, cout, k, s, p) in enumerate(
             _conv_geometries(rng, 25, k_max=3, c_max=2, hw_max=6)):
         layer = L.build_layer(L.conv2d(c, cout, k, s, p), np.random.default_rng(trial),
-                              np.float64, {})
+                              np.float64)
         x = rng.standard_normal((b, c, h, w))
         g = rng.standard_normal(layer.forward(x, train=True).shape)
         layer.backward(g)
@@ -325,7 +325,7 @@ def test_pool_kernels_match_tap_oracle_bytewise(rng):
             for dtype in (np.float32, np.float64):
                 for spec, fwd, bwd in ((L.maxpool, maxpool_taps, maxpool_backward_taps),
                                        (L.avgpool, avgpool_taps, avgpool_backward_taps)):
-                    layer = L.build_layer(spec(k, s, p), None, dtype, {})
+                    layer = L.build_layer(spec(k, s, p), None, dtype)
                     x = _special(rng, shape, dtype)
                     out = layer.forward(x, train=True)
                     assert _same_bits(out, fwd(x, k, s, p)), trial
@@ -361,7 +361,7 @@ def test_batch_innermost_view_gives_the_bytes_of_nchw(rng):
                 x = _special(rng, (20,) + shape, dtype)
                 outs = []
                 for xs in (x, _batch_innermost(x)):
-                    layer = L.build_layer(spec, np.random.default_rng(3), dtype, {})
+                    layer = L.build_layer(spec, np.random.default_rng(3), dtype)
                     out = layer.forward(xs, train=True, rng=np.random.default_rng(4))
                     dout = _special(np.random.default_rng(5), out.shape, dtype)
                     dx = layer.backward(dout if xs is x else _batch_innermost(dout))
@@ -408,7 +408,7 @@ def test_leaky_relu_matches_where_form_bitwise(rng):
             for xs, ds in cases:
                 xs, ds = xs.astype(dtype), ds.astype(dtype)
                 for slope in (0.1, 0.3, 0.99):
-                    layer = L.build_layer(L.leaky_relu(slope), None, dtype, {})
+                    layer = L.build_layer(L.leaky_relu(slope), None, dtype)
                     out = layer.forward(xs, train=True)
                     assert out.tobytes() == np.where(xs > 0, xs, slope * xs).tobytes()
                     dx = layer.backward(ds)
@@ -452,6 +452,25 @@ def test_shape_error_names_layer():
         net.forward(np.zeros((1, 1, 3, 3), dtype=np.float32))
     with pytest.raises(ShapeError, match="layer 1"):
         Network([L.flatten(), L.fc(11, 4)], (1, 2, 5))
+
+
+# -- Param: masking, density and the grad buffer ---------------------------
+
+
+def test_param_mask_zeroes_values():
+    p = L.Param("w", np.array([1.0, -2.0, 3.0, -4.0]))
+    assert p.density() == 1.0
+    p.set_mask(np.array([1.0, 0.0, 1.0, 0.0]))
+    assert np.array_equal(p.value, [1.0, 0.0, 3.0, 0.0])
+    assert p.density() == 0.5
+    with pytest.raises(ShapeError, match="mask shape"):
+        p.set_mask(np.ones(3))
+
+
+def test_param_grad_buffer_matches():
+    p = L.Param("w", np.zeros((3, 4), dtype=np.float32))
+    assert p.grad.shape == (3, 4) and p.grad.dtype == np.float32
+    assert np.all(p.grad == 0)
 
 
 # -- gradient checks --------------------------------------------------------
@@ -546,7 +565,7 @@ def test_gradients_with_activation_mask():
 
 
 def test_dropout_backward_uses_forward_mask(rng):
-    layer = L.build_layer(L.dropout(0.4), None, np.float32, {})
+    layer = L.build_layer(L.dropout(0.4), None, np.float32)
     x = rng.standard_normal((5, 20)).astype(np.float32)
     out = layer.forward(x, train=True, rng=np.random.default_rng(9))
     scale = layer._scale_mask

@@ -1,10 +1,15 @@
 """Network-level loss, masking and validation behaviour."""
 
+import dataclasses
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from jointprune import layers as L
-from jointprune.errors import ConfigError
+from jointprune.checkpoint import checkpoint_from_network, network_from_checkpoint
+from jointprune.errors import ConfigError, ShapeError
 from jointprune.models import get_preset
 from jointprune.network import (
     Network,
@@ -161,20 +166,16 @@ def test_masks_context_restores_previous_config():
     assert net.mask_cfg is outer
 
 
-def test_skip_state_is_released_after_forward(rng):
-    """The saved skip branch lives only within a forward, its gradient only
-    within a backward; the gradients equal a hand-written backward."""
+def test_skip_gradients_match_hand_written_backward(rng):
+    """The gradients of a net with an identity shortcut equal a
+    hand-written backward."""
     net = Network([L.flatten(), L.fc(4, 4), L.skip_save(), L.fc(4, 4), L.skip_add(),
                    L.fc(4, 3)], (1, 2, 2), dtype=np.float64, seed=1)
     x = rng.standard_normal((5, 1, 2, 2))
     labels = rng.integers(0, 3, size=5)
-    net.forward(x, mode="eval")
-    assert net._skip_state == {}
     res = net.forward(x, mode="train")
-    assert net._skip_state == {}
     _, dlogits = softmax_cross_entropy(res.logits, labels)
     net.backward(dlogits)
-    assert net._skip_state == {}
     w2, w3 = net.layers[3].w.value, net.layers[5].w.value
     h1, h2 = res.post_mask[1], res.post_mask[4]
     dh2 = dlogits @ w3.T
@@ -184,17 +185,39 @@ def test_skip_state_is_released_after_forward(rng):
         np.testing.assert_allclose(net.layers[i].w.grad, grad, rtol=1e-12, atol=1e-15)
 
 
+def _spy(layer, method, refs):
+    """Record a weakref to every array ``layer.<method>`` returns."""
+    call = getattr(layer, method)
+
+    def spy(*args, **kwargs):
+        out = call(*args, **kwargs)
+        refs.append(weakref.ref(out))
+        return out
+
+    setattr(layer, method, spy)
+
+
+def _raise_in(layer):
+    def broken(x, **kw):
+        raise RuntimeError("layer failed")
+
+    layer.forward = broken
+
+
+def _all_dead(refs):
+    gc.collect()
+    return bool(refs) and all(ref() is None for ref in refs)
+
+
 def test_sweep_logits_match_masked_forwards_across_the_skip_block(rng):
     """Each branch of the one-walk sweep gives the bytes of a whole forward
     with only that layer masked, on leaky6's layers around its skip block
     (3 feeds skip_save 4, whose branch stays unmasked; 7 is the skip_add);
-    the pending branch is released after every walk, also when a suffix
-    raises with it still saved."""
+    a suffix that raises leaves the next sweep's results unchanged."""
     net = get_preset("leaky6").build(seed=3)
     x = rng.standard_normal((6,) + net.input_shape)
     layers, rates = [8, 3, 4, 5, 6, 7], [0.1, 0.5, 1.0]
     dense, masked = net.sweep_logits(x, layers, rates)
-    assert net._skip_state == {}
     assert dense.tobytes() == net.forward(x, keep=()).logits.tobytes()
     assert sorted(masked) == sorted((i, r) for i in layers for r in rates)
     for (i, rate), logits in masked.items():
@@ -202,15 +225,78 @@ def test_sweep_logits_match_masked_forwards_across_the_skip_block(rng):
             assert logits.tobytes() == net.forward(x, keep=()).logits.tobytes(), (i, rate)
     assert masked[4, 0.1].tobytes() != dense.tobytes()
 
-    def broken(x, **kw):
-        raise RuntimeError("suffix failed")
-
-    net.layers[6].forward = broken  # first reached in a suffix of layer 4
-    with pytest.raises(RuntimeError, match="suffix failed"):
+    _raise_in(net.layers[6])  # first reached in a suffix of layer 4
+    with pytest.raises(RuntimeError, match="layer failed"):
         net.sweep_logits(x, [4], [0.5])
-    assert net._skip_state == {}
     del net.layers[6].forward
     assert net.sweep_logits(x, [4], [0.5])[1][4, 0.5].tobytes() == masked[4, 0.5].tobytes()
+
+
+def test_no_skip_branch_outlives_its_pass(rng):
+    """A saved skip branch and its gradient die with the pass that made
+    them: after a forward whose layer raises between skip_save and
+    skip_add, after a train step whose skip_save sits below the first
+    weight layer (so backward never adds the branch gradient in), and
+    after a sweep whose suffix raises; a backward that adds the branch
+    gradient in frees it at once."""
+    net = get_preset("leaky6").build(seed=3)
+    x = rng.standard_normal((2,) + net.input_shape)
+    branches = []
+    _spy(net.layers[3], "forward", branches)  # its output is the branch saved at 4
+    _raise_in(net.layers[6])
+    with pytest.raises(RuntimeError, match="layer failed"):
+        net.forward(x, keep=())
+    assert _all_dead(branches)
+
+    branches = []
+    _spy(net.layers[3], "forward", branches)
+    with pytest.raises(RuntimeError, match="layer failed"):
+        net.sweep_logits(x, [4], [0.5])  # layer 6 is first reached in 4's suffix
+    assert _all_dead(branches)
+
+    net = Network([L.flatten(), L.skip_save(), L.fc(4, 4), L.relu(), L.fc(4, 4),
+                   L.skip_add(), L.fc(4, 3)], (1, 2, 2), dtype=np.float64, seed=1)
+    # a mask at the skip_save hands fc 2 a masked copy, so only the pass
+    # holds the saved branch
+    net.set_mask_cfg(WinnerRateConfig(per_layer_rate={1: 0.5}))
+    branches, dbranches = [], []
+    _spy(net.layers[0], "forward", branches)
+    _spy(net.layers[6], "backward", dbranches)  # its input gradient reaches skip_add 5
+    loss_and_backward(net, rng.standard_normal((5, 1, 2, 2)), [0, 1, 2, 0, 1])
+    assert _all_dead(branches) and _all_dead(dbranches)
+
+    # a backward that reaches the skip_save frees the branch gradient
+    # there, before the layers below it run
+    net = Network([L.flatten(), L.fc(4, 4), L.skip_save(), L.fc(4, 4), L.skip_add(),
+                   L.fc(4, 3)], (1, 2, 2), dtype=np.float64, seed=1)
+    dbranches, alive_below = [], []
+    _spy(net.layers[5], "backward", dbranches)  # its input gradient reaches skip_add 4
+    backward = net.layers[1].backward
+    net.layers[1].backward = lambda dout, **kw: (
+        alive_below.append(dbranches[0]() is not None) or backward(dout, **kw))
+    loss_and_backward(net, rng.standard_normal((5, 1, 2, 2)), [0, 1, 2, 0, 1])
+    assert alive_below == [False]
+
+
+def test_skip_wiring_is_checked_at_construction():
+    """Each skip_add consumes the branch of one earlier skip_save of its
+    tag, of its own shape; a second add of one save is rejected when the
+    network is built, also from a checkpoint's arch."""
+    def net(*middle):
+        return Network([L.flatten(), L.skip_save(), L.fc(4, 4), *middle, L.fc(4, 3)],
+                       (1, 2, 2))
+
+    net(L.skip_add())
+    with pytest.raises(ShapeError, match=r"layer 4 \(skip_add\): skip_add 'skip' has no saved"):
+        net(L.skip_add(), L.skip_add())
+    with pytest.raises(ShapeError, match=r"layer 3 \(skip_add\): skip_add 'other' has no saved"):
+        net(L.skip_add("other"))
+    with pytest.raises(ShapeError, match=r"layer 4 \(skip_add\): skip branch 'skip' shape"):
+        net(L.fc(4, 2), L.skip_add())
+    ckpt = checkpoint_from_network(net(L.skip_add()))
+    doubled = dataclasses.replace(ckpt, arch=ckpt.arch[:4] + ckpt.arch[3:])
+    with pytest.raises(ShapeError, match="layer 4 .*no saved branch"):
+        network_from_checkpoint(doubled)
 
 
 def test_backward_skips_first_weight_layer_input_gradient(rng, monkeypatch):

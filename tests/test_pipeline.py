@@ -114,7 +114,6 @@ def test_sensitivity_sweep_validation():
         with pytest.raises(ConfigError, match=match):
             sensitivity_sweep(net, _blobs(), rates=rates, layers=layers)
     assert ran == []
-    assert net._skip_state == {}
 
 
 def _labelled_by(net, n, seed=0):
@@ -149,7 +148,7 @@ def test_sensitivity_sweep_matches_reference(name, monkeypatch):
     rates, layers = [1.0, 0.05, 0.3], pre.mask_layers[::-1]
     before = _param_bytes(net)
     curve = sensitivity_sweep(net, val, rates, layers)
-    assert net.mask_cfg is attached and net._skip_state == {}
+    assert net.mask_cfg is attached
     assert _param_bytes(net) == before
     ref = sensitivity_sweep_reference(net, val, rates, layers)
     assert curve.baseline_accuracy == ref.baseline_accuracy == 1.0
