@@ -257,8 +257,9 @@ def _accuracy_with_static_masks(net, split, thresholds, batch_size=500):
     correct = 0
     for start in range(0, len(split), batch_size):
         x = split.images[start : start + batch_size].astype(net.dtype)
-        for i, layer in enumerate(net.layers):
-            x = layer.forward(x, train=False)
+        branches = {}  # leaky6's skip branch, local to this batch's pass
+        for i in range(len(net.layers)):
+            x = net._layer_forward(i, x, branches)
             if i in thresholds:
                 x = x * (np.abs(x) > thresholds[i])
         correct += int((x.argmax(axis=1) == split.labels[start : start + batch_size]).sum())
