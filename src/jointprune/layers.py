@@ -45,6 +45,18 @@ import numpy as np
 from .errors import ConfigError, ShapeError
 
 
+# the geometry keys each kind reads without a default
+REQUIRED_GEOMETRY = {
+    "fc": ("n_in", "n_out"),
+    "conv2d": ("in_ch", "out_ch", "kernel", "stride", "pad"),
+    "maxpool": ("window", "stride", "pad"),
+    "avgpool": ("window", "stride", "pad"),
+    "dropout": ("rate",),
+    "skip_save": ("tag",),
+    "skip_add": ("tag",),
+}
+
+
 @dataclass
 class LayerSpec:
     """Declarative layer description: kind plus kind-specific geometry."""
@@ -55,12 +67,17 @@ class LayerSpec:
     def __post_init__(self):
         if self.kind not in LAYER_KINDS:
             raise ConfigError(f"unknown layer kind {self.kind!r}")
+        if not isinstance(self.geometry, dict):
+            raise ConfigError(f"{self.kind} geometry must be a mapping, got {self.geometry!r}")
+        missing = [key for key in REQUIRED_GEOMETRY.get(self.kind, ()) if key not in self.geometry]
+        if missing:
+            raise ConfigError(f"{self.kind} layer geometry lacks {', '.join(missing)}")
         if self.kind == "leaky_relu":
             slope = self.geometry.get("slope", 0.1)
             if not 0.0 < slope < 1.0:
                 raise ConfigError(f"leaky_relu slope must be in (0,1), got {slope}")
         if self.kind == "dropout":
-            rate = self.geometry.get("rate", 0.5)
+            rate = self.geometry["rate"]
             if not 0.0 <= rate < 1.0:
                 raise ConfigError(f"dropout rate must be in [0,1), got {rate}")
 

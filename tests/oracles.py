@@ -179,6 +179,33 @@ def topk_fullsort(acts, k):
     return set(order[:k].tolist())
 
 
+def select_winners_reference(acts, rate):
+    """Exact winner masks the way the library first computed them: a float
+    partition of a sample-major |a| copy for each sample's k-th largest
+    magnitude, then a lowest-index tie-break by cumulative count over the
+    tied samples.  Bool masks in the memory layout of ``acts``."""
+    acts = np.asarray(acts)
+    cols = acts.transpose(tuple(range(1, acts.ndim)) + (0,)).reshape(-1, acts.shape[0])
+    n, b = cols.shape
+    k = min(n, max(1, math.ceil(rate * n)))
+    if k >= n:
+        return np.ones(acts.shape, dtype=bool)
+    rows = np.ascontiguousarray(np.abs(cols).T)
+    rows.partition(n - k, axis=1)
+    kth = rows[:, n - k].copy()
+    del rows
+    mask = np.abs(cols) >= kth
+    tied = np.flatnonzero(np.count_nonzero(mask, axis=0) > k)
+    if tied.size:
+        mag = np.abs(cols[:, tied]).T
+        gt = mag > kth[tied, None]
+        eq = mag == kth[tied, None]
+        need = k - np.count_nonzero(gt, axis=1)
+        eq &= np.cumsum(eq, axis=1) <= need[:, None]
+        mask[:, tied] = (gt | eq).T
+    return mask.T.reshape(acts.shape)
+
+
 def subsample_threshold(acts, rate, eps, offset):
     """The predicted-threshold cut by full sort: the ceil(eps * k)-th largest
     magnitude among round(eps * N) elements taken every floor(1/eps)

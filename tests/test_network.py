@@ -370,3 +370,19 @@ def test_pruned_weights_need_no_second_mask(rng, dtype):
             negative_zeros += sum(int((np.signbit(p.value) & (p.mask == 0)).sum())
                                   for _, p in net.weight_params())
     assert negative_zeros > 0
+
+
+@pytest.mark.parametrize("kind, geometry, missing", [
+    ("fc", {"n_in": 4}, "n_out"),
+    ("conv2d", {"in_ch": 1, "out_ch": 2, "stride": 1, "pad": 0}, "kernel"),
+    ("maxpool", {"window": 2, "pad": 0}, "stride"),
+    ("avgpool", {"stride": 2, "pad": 0}, "window"),
+    ("dropout", {}, "rate"),
+    ("skip_save", {}, "tag"),
+    ("skip_add", {}, "tag"),
+])
+def test_spec_missing_geometry_is_config_error(kind, geometry, missing):
+    with pytest.raises(ConfigError, match=f"{kind} layer geometry lacks {missing}"):
+        L.LayerSpec(kind, geometry)
+    with pytest.raises(ConfigError, match="must be a mapping"):
+        L.LayerSpec(kind, None)

@@ -14,7 +14,7 @@ from jointprune.sparsity import (
     winner_count,
 )
 
-from oracles import subsample_threshold, topk_fullsort
+from oracles import select_winners_reference, subsample_threshold, topk_fullsort
 
 
 def _winners(acts, rate):
@@ -105,6 +105,80 @@ def test_batch_masks_are_bool_and_match_oracles():
             assert np.array_equal(pred[r], np.abs(acts[r]) > theta)
         for t in (exact, pred):
             assert (acts * t).tobytes() == (acts * t.astype(acts.dtype)).tobytes()
+
+
+def _batch_innermost(acts):
+    """``acts`` with the same values, stored as a C-order (..., B) array."""
+    return np.moveaxis(np.ascontiguousarray(np.moveaxis(acts, 0, -1)), -1, 0)
+
+
+def _specials(dtype):
+    """NaNs with payloads and either sign, +-inf, +-0 and subnormals."""
+    if np.dtype(dtype).itemsize == 4:
+        bits = [0x7FC00000, 0xFFC00000, 0x7FC12345, 0xFF800001, 0x00000001, 0x807FFFFF]
+    else:
+        bits = [0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000012345,
+                0xFFF0000000000001, 0x0000000000000001, 0x800FFFFFFFFFFFFF]
+    nans_subnormals = np.array(bits, dtype=f"u{np.dtype(dtype).itemsize}").view(dtype)
+    return np.concatenate([nans_subnormals, np.array([np.inf, -np.inf, 0.0, -0.0], dtype)])
+
+
+def _wide_cases(rng, b, dtype):
+    """(name, acts, rate) at the preset widths, in C order."""
+    # a 3x3/s1 max pool copies each maximum into up to nine outputs: most
+    # samples have surplus ties at the cut (n = 9216)
+    x = rng.standard_normal((b, 64, 14, 14)).astype(dtype)
+    yield "maxpool", np.maximum.reduce([x[..., i:i + 12, j:j + 12]
+                                        for i in range(3) for j in range(3)]), 0.5
+    # 98%-zero samples, signed zeros mixed, with nnz = k - 1, k and k + 1
+    # (n = 2304, k = 47): the first cuts among the zeros
+    n, rate = 2304, 0.02
+    k = winner_count(rate, n)
+    sparse = np.where(rng.random((b, n)) < 0.5, 0.0, -0.0).astype(dtype)
+    for i in range(b):
+        on = rng.choice(n, size=k - 1 + i % 3, replace=False)
+        sparse[i, on] = rng.standard_normal(on.size)
+    yield "sparse", sparse.reshape(b, 64, 6, 6), rate
+    # special values in every sample, and ties quantized into half of them
+    acts = rng.standard_normal((b, 64, 6, 6)).astype(dtype)
+    acts[::2] = np.round(acts[::2], 1)
+    flat = acts.reshape(b, -1)
+    for i in range(b):
+        where = rng.choice(flat.shape[1], size=int(rng.integers(0, 40)), replace=False)
+        flat[i, where] = rng.choice(_specials(dtype), size=where.size)
+    yield "specials", acts, float(rng.choice([0.05, 0.3, 0.9]))
+    # a few samples with surplus ties in the batch
+    acts = rng.standard_normal((b, 64, 6, 6)).astype(dtype)
+    acts[[b // 3, b - 1]] = np.round(acts[[b // 3, b - 1]], 1)
+    yield "few-tied", acts, 0.4
+
+
+@pytest.mark.parametrize("b", [1, 2, 100, 256])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_wide_batches_match_reference(b, dtype):
+    """Exact masks equal the float-partition reference in bytes and strides
+    for C-order and batch-innermost batches, and each sample without a NaN
+    holds the full-sort winners; predicted masks match the full-sort
+    subsample cut."""
+    rng = np.random.default_rng(b)
+    for name, acts, rate in _wide_cases(rng, b, dtype):
+        n = acts[0].size
+        k = winner_count(rate, n)
+        masks = []
+        for layout in (np.ascontiguousarray(acts), _batch_innermost(acts)):
+            got, want = select_winners_batch(layout, rate), select_winners_reference(layout, rate)
+            assert got.tobytes() == want.tobytes() and got.strides == want.strides, (name, b)
+            masks.append(got)
+            pred = predicted_mask_batch(layout, rate, 0.1, offset=3)
+            assert pred.strides == got.strides
+            for i in range(b):
+                theta = subsample_threshold(layout[i], rate, 0.1, offset=3)
+                assert np.array_equal(pred[i], np.abs(layout[i]) > theta), (name, b, i)
+        assert np.array_equal(masks[0], masks[1])
+        flat = acts.reshape(b, -1)
+        for i in range(b):
+            if not np.isnan(flat[i]).any():
+                assert set(np.flatnonzero(masks[0][i]).tolist()) == topk_fullsort(flat[i], k), (name, i)
 
 
 def test_tie_break_prefers_lowest_index():
