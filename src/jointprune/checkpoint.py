@@ -91,6 +91,9 @@ def checkpoint_from_network(net, meta=None):
 
 def network_from_checkpoint(ckpt):
     """A network holding its own writeable copy of each checkpoint param."""
+    for d in ckpt.arch:
+        if not isinstance(d, dict) or not {"kind", "geometry"} <= d.keys():
+            raise CheckpointError(f"checkpoint arch entry {d!r} lacks a kind or a geometry")
     specs = [LayerSpec(d["kind"], d["geometry"]) for d in ckpt.arch]
     net = Network(specs, ckpt.input_shape, dtype=np.dtype(ckpt.dtype), init=False)
     for name, p in _param_names(net):

@@ -46,7 +46,7 @@ from .errors import ConfigError, ShapeError
 
 
 # the geometry keys each kind reads without a default
-REQUIRED_GEOMETRY = {
+_REQUIRED_GEOMETRY = {
     "fc": ("n_in", "n_out"),
     "conv2d": ("in_ch", "out_ch", "kernel", "stride", "pad"),
     "maxpool": ("window", "stride", "pad"),
@@ -69,7 +69,7 @@ class LayerSpec:
             raise ConfigError(f"unknown layer kind {self.kind!r}")
         if not isinstance(self.geometry, dict):
             raise ConfigError(f"{self.kind} geometry must be a mapping, got {self.geometry!r}")
-        missing = [key for key in REQUIRED_GEOMETRY.get(self.kind, ()) if key not in self.geometry]
+        missing = [k for k in _REQUIRED_GEOMETRY.get(self.kind, ()) if k not in self.geometry]
         if missing:
             raise ConfigError(f"{self.kind} layer geometry lacks {', '.join(missing)}")
         if self.kind == "leaky_relu":

@@ -8,10 +8,10 @@ reruns deterministic.
 
 Both selection modes find each sample's cut with one helper,
 ``_kth_largest_abs``: a partition of a sample-major |a| copy whose IEEE bits
-are read as integers, which orders them as the floats but partitions 2.5-3.5x
-faster.  Exact selection keeps every |a| >= cut; a sample with more ties at
-the cut than places left keeps its ties up to one cut position, found with
-one flat lookup over the ties listed by sample and position.
+are read as integers, which orders them as the floats but partitions about
+twice as fast.  Exact selection keeps every |a| >= cut; a sample with more
+ties at the cut than places left keeps its ties up to one cut position,
+found with one flat lookup over the ties listed by sample and position.
 
 The predicted-threshold variant estimates the k-th magnitude from a strided
 subsample instead of partitioning the full tensor; the realized winner
@@ -81,7 +81,7 @@ def _sample_major_abs(cols):
     transposed in blocks of rows, which keep both sides in cache: a (100,
     32768) f32 transpose takes 2.8 ms in 4096-row blocks and 9.5 ms in one
     pass.  Where a row of ``cols`` spans a multiple of 512 bytes, 4096-row
-    blocks stall on cache-set conflicts and 512-row blocks are 1.3-2.8x
+    blocks stall on cache-set conflicts and 512-row blocks are up to 2.8x
     faster (f32 (32768, 256): 49 against 22 ms); at the other widths
     measured, 4096-row blocks are as fast or faster.
     """
@@ -100,7 +100,8 @@ def _kth_largest_abs(cols, r):
     contiguous (B,) array.
 
     The partition runs over the magnitudes' IEEE bits read as signed
-    integers, 2.5-3.5x faster than the float partition for f32.  ``np.abs``
+    integers: 1.9-2.5x faster than the float partition for f32 and 1.6-1.8x
+    for f64, on (100-500, 2304-32768) batches.  ``np.abs``
     clears the sign bit (of -0 and of NaNs too), so the integer order is the
     float order with every NaN above +inf, as ``np.partition`` places them,
     and equal magnitudes have equal bits: the cut is the float partition's

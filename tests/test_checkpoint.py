@@ -140,6 +140,14 @@ def test_shape_mismatch_rejected(tmp_path):
         network_from_checkpoint(ckpt)
 
 
+def test_arch_entry_without_kind_or_geometry_rejected():
+    ckpt = checkpoint_from_network(_small_net())
+    for entry in ({"geometry": {}}, {"kind": "relu"}, "relu"):
+        ckpt.arch[0] = entry
+        with pytest.raises(CheckpointError, match="lacks a kind or a geometry"):
+            network_from_checkpoint(ckpt)
+
+
 def test_winner_cfg_dict_round_trip():
     cfg = winner_cfg_from_dict({"per_layer_rate": {"2": 0.25}})
     assert cfg.per_layer_rate == {2: 0.25}

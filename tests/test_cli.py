@@ -158,13 +158,17 @@ def test_cli_missing_checkpoint_is_one_line_error(tmp_path, capsys):
     _one_line_error(capsys, str(missing))
 
 
-@pytest.mark.parametrize("preset, index, key", [("mlp3", 1, "n_out"), ("leaky6", 4, "tag")])
+@pytest.mark.parametrize("preset, index, key", [("mlp3", 1, "n_out"), ("leaky6", 4, "tag"),
+                                                ("mlp3", 1, "kind")])
 def test_cli_eval_on_checkpoint_missing_geometry_is_one_line_error(tmp_path, capsys,
                                                                    preset, index, key):
     ckpt = checkpoint_from_network(get_preset(preset).build())
-    ckpt.arch[index] = {"kind": ckpt.arch[index]["kind"],
-                        "geometry": {k: v for k, v in ckpt.arch[index]["geometry"].items()
-                                     if k != key}}
+    entry = ckpt.arch[index]
+    if key == "kind":
+        ckpt.arch[index] = {"geometry": entry["geometry"]}
+    else:
+        ckpt.arch[index] = {"kind": entry["kind"],
+                            "geometry": {k: v for k, v in entry["geometry"].items() if k != key}}
     path = tmp_path / "bad.ckpt"
     save_checkpoint(ckpt, path)
     assert main(["eval", _config(tmp_path, tmp_path), "--checkpoint", str(path)]) == 1

@@ -178,7 +178,8 @@ def test_wide_batches_match_reference(b, dtype):
         flat = acts.reshape(b, -1)
         for i in range(b):
             if not np.isnan(flat[i]).any():
-                assert set(np.flatnonzero(masks[0][i]).tolist()) == topk_fullsort(flat[i], k), (name, i)
+                winners = set(np.flatnonzero(masks[0][i]).tolist())
+                assert winners == topk_fullsort(flat[i], k), (name, i)
 
 
 def test_tie_break_prefers_lowest_index():
