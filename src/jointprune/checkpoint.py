@@ -27,7 +27,7 @@ import json
 import os
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -72,12 +72,9 @@ def checkpoint_from_network(net, meta=None):
             masks[name] = p.mask
     winner_cfg = None
     if cfg is not None:
-        winner_cfg = {
-            "per_layer_rate": {str(k): float(v) for k, v in cfg.per_layer_rate.items()},
-            "downsample_rate": cfg.downsample_rate,
-            "selection_mode": cfg.selection_mode,
-            "offset_seed": cfg.offset_seed,
-        }
+        # JSON object keys are strings: winner_cfg_from_dict turns them back
+        rates = {str(k): float(v) for k, v in cfg.per_layer_rate.items()}
+        winner_cfg = {**asdict(cfg), "per_layer_rate": rates}
     return Checkpoint(
         arch=[{"kind": s.kind, "geometry": s.geometry} for s in net.specs],
         input_shape=tuple(net.input_shape),
@@ -114,12 +111,17 @@ def network_from_checkpoint(ckpt):
 
 
 def winner_cfg_from_dict(d):
-    return WinnerRateConfig(
-        per_layer_rate={int(k): float(v) for k, v in d["per_layer_rate"].items()},
-        downsample_rate=d.get("downsample_rate", 1.0),
-        selection_mode=d.get("selection_mode", "exact_topk"),
-        offset_seed=d.get("offset_seed", 0),
-    )
+    """The :class:`WinnerRateConfig` that ``checkpoint_from_network`` stored
+    as ``d``; an absent field takes the dataclass default.  A non-mapping, a
+    missing ``per_layer_rate``, a non-integer layer key or an unknown field
+    raises ``CheckpointError``."""
+    if not isinstance(d, dict) or not isinstance(d.get("per_layer_rate"), dict):
+        raise CheckpointError(f"checkpoint winner_cfg {d!r} lacks a per_layer_rate mapping")
+    try:
+        rates = {int(k): float(v) for k, v in d["per_layer_rate"].items()}
+        return WinnerRateConfig(**{**d, "per_layer_rate": rates})
+    except (TypeError, ValueError) as e:
+        raise CheckpointError(f"malformed checkpoint winner_cfg {d!r}: {e}") from None
 
 
 def _payload_parts(ckpt):

@@ -24,9 +24,13 @@ def _out(exp, name):
     return os.path.join(exp.out_dir, name)
 
 
-def _load_net(exp, path):
-    ckpt = ckpt_io.load_checkpoint(path)
-    return ckpt_io.network_from_checkpoint(ckpt)
+def _load_net(exp, path, masked=False):
+    """The network of the checkpoint at ``path``.  With ``masked``, one whose
+    checkpoint holds no winner rates gets the experiment's."""
+    net = ckpt_io.network_from_checkpoint(ckpt_io.load_checkpoint(path))
+    if masked and net.mask_cfg is None:
+        net.set_mask_cfg(exp.mask_cfg)
+    return net
 
 
 def cmd_train_dense(exp, args):
@@ -79,10 +83,8 @@ def cmd_prune(exp, args):
 
 
 def cmd_eval(exp, args):
-    net = _load_net(exp, args.checkpoint or _out(exp, "jp.ckpt"))
+    net = _load_net(exp, args.checkpoint or _out(exp, "jp.ckpt"), masked=args.mode == "jp")
     mode = {"dense": "dense", "wp": "wp_only", "jp": "jp"}[args.mode]
-    if mode == "jp" and net.mask_cfg is None:
-        net.set_mask_cfg(exp.mask_cfg)
     _, _, test = exp.load_data()
     stat_layers = exp.preset.mask_layers
     acc, stats = pipeline.evaluate(net, test, mode=mode, stat_layers=stat_layers)
@@ -93,9 +95,7 @@ def cmd_eval(exp, args):
 
 
 def cmd_report_macs(exp, args):
-    net = _load_net(exp, args.checkpoint or _out(exp, "jp.ckpt"))
-    if net.mask_cfg is None and args.masked:
-        net.set_mask_cfg(exp.mask_cfg)
+    net = _load_net(exp, args.checkpoint or _out(exp, "jp.ckpt"), masked=args.masked)
     _, _, test = exp.load_data()
     batch = test.images[: args.batch]
     report = metrics.count_effective_macs(net, batch)
@@ -118,9 +118,7 @@ def cmd_bench_fc(exp, args):
 
 
 def cmd_threshold_prediction_study(exp, args):
-    net = _load_net(exp, args.checkpoint or _out(exp, "jp.ckpt"))
-    if net.mask_cfg is None:
-        net.set_mask_cfg(exp.mask_cfg)
+    net = _load_net(exp, args.checkpoint or _out(exp, "jp.ckpt"), masked=True)
     _, _, test = exp.load_data()
     acc_exact, _ = pipeline.evaluate(net, test, mode="jp")
     rows = []

@@ -7,6 +7,7 @@ partial dataset.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -44,49 +45,35 @@ class DatasetSplit:
         return DatasetSplit(self.images[indices], self.labels[indices], role or self.role)
 
 
-def _read_idx_images(path):
+def _read_idx(path, magic):
+    """The uint8 array of the IDX file at ``path``, whose magic must be
+    ``magic``; the magic's low byte is the array's rank."""
+    ndim = magic & 0xFF
     with open(path, "rb") as f:
-        header = f.read(16)
-        if len(header) < 16:
+        header = f.read(4 * (1 + ndim))
+        if len(header) < 4 * (1 + ndim):
             raise DataFormatError(f"{path}: truncated IDX header")
-        magic, count, rows, cols = struct.unpack(">IIII", header)
-        if magic != MNIST_IMAGE_MAGIC:
-            raise DataFormatError(f"{path}: bad IDX image magic {magic}")
+        found, *dims = struct.unpack(f">{1 + ndim}I", header)
+        if found != magic:
+            raise DataFormatError(f"{path}: bad IDX magic {found}, expected {magic}")
         payload = f.read()
-    expected = count * rows * cols
+    expected = math.prod(dims)
     if len(payload) != expected:
-        raise DataFormatError(f"{path}: expected {expected} pixel bytes, got {len(payload)}")
-    data = np.frombuffer(payload, dtype=np.uint8).reshape(count, rows, cols)
-    return data
-
-
-def _read_idx_labels(path):
-    with open(path, "rb") as f:
-        header = f.read(8)
-        if len(header) < 8:
-            raise DataFormatError(f"{path}: truncated IDX header")
-        magic, count = struct.unpack(">II", header)
-        if magic != MNIST_LABEL_MAGIC:
-            raise DataFormatError(f"{path}: bad IDX label magic {magic}")
-        payload = f.read()
-    if len(payload) != count:
-        raise DataFormatError(f"{path}: expected {count} label bytes, got {len(payload)}")
-    return np.frombuffer(payload, dtype=np.uint8).astype(np.int64)
+        what = "label" if ndim == 1 else "pixel"
+        raise DataFormatError(f"{path}: expected {expected} {what} bytes, got {len(payload)}")
+    return np.frombuffer(payload, dtype=np.uint8).reshape(dims)
 
 
 def load_mnist(image_path, label_path, role="train"):
     """Load one MNIST split; pixels scaled to [0,1], shape (N, 1, 28, 28)."""
-    images = _read_idx_images(image_path)
-    labels = _read_idx_labels(label_path)
+    images = _read_idx(image_path, MNIST_IMAGE_MAGIC)
+    labels = _read_idx(label_path, MNIST_LABEL_MAGIC).astype(np.int64)
     images = (images.astype(np.float32) / 255.0)[:, None, :, :]
     return DatasetSplit(images, labels, role)
 
 
-def load_cifar10(batch_paths, role="train", standardize=True):
-    """Load CIFAR-10 binary batches; per-channel standardized by default.
-
-    With ``standardize=False`` the images stay on the plain [0,1] scale.
-    """
+def load_cifar10(batch_paths, role="train"):
+    """Load CIFAR-10 binary batches, per-channel standardized."""
     chunks, labels = [], []
     for path in batch_paths:
         size = os.path.getsize(path)
@@ -101,8 +88,7 @@ def load_cifar10(batch_paths, role="train", standardize=True):
     labels = np.concatenate(labels)
     if labels.max() > 9:
         raise DataFormatError("CIFAR-10 label byte out of range 0..9")
-    if standardize:
-        images = (images - CIFAR10_MEAN[:, None, None]) / CIFAR10_STD[:, None, None]
+    images = (images - CIFAR10_MEAN[:, None, None]) / CIFAR10_STD[:, None, None]
     return DatasetSplit(images, labels, role)
 
 

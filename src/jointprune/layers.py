@@ -18,15 +18,16 @@ read real input; each tap copies rows of B elements and zeros only the
 entries that read padding, so no buffer is cleared first.  The GEMM runs
 in one call over all units of the output, one BLAS GEMM per unit: a
 single sample's whole output, else one output row of the batch, or one
-output position when a row's columns would outgrow the input.  A train
-forward lowers the whole batch and keeps the columns for backward; an
-eval forward streams blocks of whole units through one column buffer
-bounded by ``EVAL_COLS_BYTES``.  Both make the same per-unit calls, so
-they give the same bytes, and the output already has the (C, H, W, B)
-layout.  Backward computes ``dw`` in one GEMM over all columns and
-scatters ``dx`` back through the matching clipped col2im into (C, H, W,
-B); the first weight layer of a network skips ``dx``.  The effective-MAC
-counter uses the same im2col.
+output position when a row's columns would outgrow the input.  Train and
+eval forwards run one block loop: a train forward lowers the whole
+output as one block and keeps its columns for backward; an eval forward
+streams blocks of whole units through one column buffer bounded by
+``EVAL_COLS_BYTES``.  Both make the same per-unit calls, so they give
+the same bytes, and the output already has the (C, H, W, B) layout.
+Backward computes ``dw`` in one GEMM over all columns and scatters
+``dx`` back through the matching clipped col2im into (C, H, W, B); the
+first weight layer of a network skips ``dx``.  The effective-MAC counter
+uses the same im2col.
 
 Pooling reduces the k*k strided window taps of a padded (C, H, W, B) copy
 one at a time, in (i, j) row-major order, with no window tensor.
@@ -344,24 +345,22 @@ class Conv2d(Layer):
         unit = oh * ow if b == 1 else ow if b < ow or k * k * ow <= h * w else 1
         out = np.empty((g["out_ch"], oh, ow, b), dtype=np.result_type(w2, x))
         out2 = out.reshape(g["out_ch"], -1)
+        # output positions per block of columns: a train forward lowers the
+        # whole output in one block, whose columns backward keeps; an eval
+        # forward streams blocks of whole units (whole rows, or part of one
+        # row) through one bounded column buffer
+        per = oh * ow if train else max(unit, EVAL_COLS_BYTES // (w2.shape[1] * b * x.itemsize))
+        ny, nx = (min(oh, per // ow), ow) if per >= ow else (1, per)
+        buf = np.empty(w2.shape[1] * ny * nx * b, dtype=x.dtype)
+        for y0 in range(0, oh, ny):
+            ys = range(y0, min(oh, y0 + ny))
+            for x0 in range(0, ow, nx):
+                xs = range(x0, min(ow, x0 + nx))
+                lo = (y0 * ow + x0) * b
+                cols = _im2col(x4, k, s, p, ys, xs, buf)
+                _unit_gemm(w2, cols, unit * b, out2[:, lo:lo + cols.shape[1]])
         if train:
-            # the whole batch's columns, which backward keeps
-            cols = _im2col(x4, k, s, p, range(oh), range(ow))
-            _unit_gemm(w2, cols, unit * b, out2)
             self._cache = (x.shape, cols)
-        else:
-            # an eval forward streams blocks of whole units (whole rows, or
-            # part of one row) through one bounded column buffer
-            per = max(unit, EVAL_COLS_BYTES // (w2.shape[1] * b * x.itemsize))
-            ny, nx = (min(oh, per // ow), ow) if per >= ow else (1, per)
-            buf = np.empty(w2.shape[1] * ny * nx * b, dtype=x.dtype)
-            for y0 in range(0, oh, ny):
-                ys = range(y0, min(oh, y0 + ny))
-                for x0 in range(0, ow, nx):
-                    xs = range(x0, min(ow, x0 + nx))
-                    lo = (y0 * ow + x0) * b
-                    cols = _im2col(x4, k, s, p, ys, xs, buf)
-                    _unit_gemm(w2, cols, unit * b, out2[:, lo:lo + cols.shape[1]])
         out2 += self.b.value[:, None]
         return out.transpose(3, 0, 1, 2)
 

@@ -1,13 +1,14 @@
 """Model presets: architectures, maskable layers and pruning targets.
 
-Each preset bundles the layer stack, the indices of the activation tensors
-that feed the next weight layer (the maskable points), reference winner
-rates, and per-layer weight density targets used for magnitude pruning.
+Each preset bundles the layer stack, reference winner rates keyed by the
+indices of the activation tensors that feed the next weight layer (the
+maskable points), and per-layer weight density targets used for magnitude
+pruning.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,12 +33,16 @@ class ModelPreset:
     name: str
     input_shape: tuple
     specs: list
-    mask_layers: list  # layer indices eligible for winner masks
     reference_rates: dict  # layer index -> winner rate
     weight_targets: dict  # weight-layer index -> kept density
     dataset: str = "mnist"
     crop: int | None = None
     base_dropout: float = 0.0
+
+    @property
+    def mask_layers(self):
+        """The layer indices that carry winner masks: those with a rate."""
+        return sorted(self.reference_rates)
 
     def build(self, seed=0, dtype=np.float32):
         return Network(self.specs, self.input_shape, dtype=dtype, seed=seed)
@@ -60,7 +65,6 @@ def mlp3(base_dropout=0.2):
         name="mlp3",
         input_shape=(1, 28, 28),
         specs=specs,
-        mask_layers=[2, 5],
         reference_rates={2: 0.12, 5: 0.24},
         weight_targets={1: 0.10, 4: 0.10, 7: 0.20},
         dataset="mnist",
@@ -87,7 +91,6 @@ def lenet4(base_dropout=0.5):
         name="lenet4",
         input_shape=(1, 28, 28),
         specs=specs,
-        mask_layers=[2, 5, 8],
         reference_rates={2: 0.066, 5: 0.019, 8: 0.122},
         weight_targets={0: 0.60, 3: 0.10, 7: 0.08, 10: 0.18},
         dataset="mnist",
@@ -117,7 +120,6 @@ def convnet5(base_dropout=0.3):
         name="convnet5",
         input_shape=(3, 24, 24),
         specs=specs,
-        mask_layers=[2, 5, 8, 11],
         reference_rates={2: 0.506, 5: 0.173, 8: 0.099, 11: 0.448},
         weight_targets={0: 0.70, 3: 0.50, 7: 0.40, 10: 0.30, 13: 0.50},
         dataset="cifar10",
@@ -151,7 +153,6 @@ def leaky6(slope=0.1, base_dropout=0.0):
         name="leaky6",
         input_shape=(3, 32, 32),
         specs=specs,
-        mask_layers=[1, 4, 7, 9, 11],
         reference_rates={1: 0.45, 4: 0.45, 7: 0.45, 9: 0.45, 11: 0.45},
         weight_targets={0: 0.60, 2: 0.60, 5: 0.60, 8: 0.60, 10: 0.60, 13: 0.60},
         dataset="cifar10",

@@ -144,18 +144,6 @@ class Network:
         except (ValueError, ShapeError) as e:
             raise ShapeError(f"layer {i} ({layer.kind}): {e}") from None
 
-    def _dynamic_mask(self, i, acts):
-        cfg = self.mask_cfg
-        if cfg is None:
-            return None
-        rate = cfg.rate_for(i)
-        if rate is None or rate >= 1.0:
-            return None
-        if cfg.selection_mode == sparsity.PREDICTED_THRESHOLD:
-            offset = (cfg.offset_seed + i) % max(1, int(1.0 / cfg.downsample_rate))
-            return sparsity.predicted_mask_batch(acts, rate, cfg.downsample_rate, offset)
-        return sparsity.select_winners_batch(acts, rate)
-
     def forward(self, x, mode="eval", rng=None, keep=None):
         """Run all layers; returns a :class:`ForwardResult`.
 
@@ -173,10 +161,11 @@ class Network:
         train = mode == "train"
         last = len(self.layers) - 1
         keep = range(len(self.layers)) if keep is None else set(keep) | {last}
+        cfg = self.mask_cfg
         post, act_masks, branches = [], [None] * len(self.layers), {}
         for i in range(len(self.layers)):
             x = self._layer_forward(i, x, branches, train, rng)
-            t = self._dynamic_mask(i, x)
+            t = None if cfg is None else cfg.mask(i, x)
             if t is not None:
                 act_masks[i] = t
                 x = x * t

@@ -84,9 +84,15 @@ class Adadelta(Optimizer):
             p.value += self.lr * delta
 
 
+OPTIMIZERS = {"sgd": SGD, "adadelta": Adadelta}
+
+
+def check_optimizer_name(name):
+    """Raise ``ConfigError`` unless ``name`` is a key of ``OPTIMIZERS``."""
+    if not isinstance(name, str) or name not in OPTIMIZERS:
+        raise ConfigError(f"unknown optimizer {name!r}; choose from {sorted(OPTIMIZERS)}")
+
+
 def make_optimizer(name, params, **hyper):
-    if name == "sgd":
-        return SGD(params, **hyper)
-    if name == "adadelta":
-        return Adadelta(params, **hyper)
-    raise ConfigError(f"unknown optimizer {name!r}")
+    check_optimizer_name(name)
+    return OPTIMIZERS[name](params, **hyper)

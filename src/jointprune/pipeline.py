@@ -8,7 +8,7 @@ from __future__ import annotations
 import logging
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -16,7 +16,7 @@ from .errors import ConfigError, DivergenceError
 from .layers import LAYER_KINDS
 from .metrics import SparsityStats, nonzero_count
 from .network import WEIGHT_KINDS, loss_and_backward
-from .optim import make_optimizer
+from .optim import check_optimizer_name, make_optimizer
 from .sparsity import WinnerRateConfig, prune_weights_by_magnitude, threshold_for_target_density
 
 log = logging.getLogger(__name__)
@@ -43,6 +43,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_optimizer_name(self.optimizer)
         if not 0.01 <= self.lr_scale <= 1.0:
             raise ConfigError(f"lr_scale must be in [0.01, 1], got {self.lr_scale}")
         for name in ("baseline_epochs", "warmup_epochs", "finetune_epochs"):
@@ -71,7 +72,7 @@ def minibatches(n, batch_size, rng=None):
 def _make_opt(cfg, params, lr):
     if cfg.optimizer == "sgd":
         return make_optimizer("sgd", params, lr=lr, momentum=cfg.momentum)
-    return make_optimizer("adadelta", params, lr=lr, rho=cfg.rho, eps=cfg.eps)
+    return make_optimizer(cfg.optimizer, params, lr=lr, rho=cfg.rho, eps=cfg.eps)
 
 
 def run_epoch(net, opt, split, cfg, rng, alpha=0.0):
@@ -198,8 +199,8 @@ def choose_winner_rates(curve, tolerable_drop, template=None):
                         layer, tolerable_drop)
             chosen = 1.0
         rates[layer] = chosen
-    cfg = template or WinnerRateConfig()
-    return cfg.with_rates({k: v for k, v in rates.items() if v < 1.0})
+    return replace(template or WinnerRateConfig(),
+                   per_layer_rate={k: v for k, v in rates.items() if v < 1.0})
 
 
 # -- step 2/3: joint regularization + masked finetuning ---------------------
@@ -281,7 +282,7 @@ def joint_finetune(net, mask_cfg, cfg, train_split, val_split):
     alpha = cfg.l1_strength
 
     def record(phase, epoch, losses):
-        acc, stats = evaluate(net, val_split, mode="jp" if mask_cfg.per_layer_rate else "wp_only")
+        acc, stats = evaluate(net, val_split, mode="jp")
         history.append({
             "phase": phase, "epoch": epoch,
             "loss": losses[0], "ce": losses[1], "l1": losses[2],

@@ -21,7 +21,7 @@ count is then approximate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,7 +33,9 @@ PREDICTED_THRESHOLD = "predicted_threshold"
 
 @dataclass
 class WinnerRateConfig:
-    """Per-layer winner rates plus the down-sampling setup for prediction.
+    """Per-layer winner rates plus the down-sampling setup for prediction:
+    the one description of a network's activation masks, which :meth:`mask`
+    selects layer by layer.
 
     ``per_layer_rate`` maps a network layer index to the kept fraction of
     that layer's output activations.  The final (output) layer must never
@@ -55,11 +57,21 @@ class WinnerRateConfig:
         if self.selection_mode not in (EXACT_TOPK, PREDICTED_THRESHOLD):
             raise ConfigError(f"unknown selection mode {self.selection_mode!r}")
 
-    def rate_for(self, layer_index):
-        return self.per_layer_rate.get(layer_index)
+    def mask(self, layer, acts):
+        """The bool winner mask of layer ``layer``'s output batch ``acts``, or
+        None when the layer has no rate or keeps everything (rate >= 1).
 
-    def with_rates(self, per_layer_rate):
-        return replace(self, per_layer_rate=dict(per_layer_rate))
+        A predicted mask subsamples from offset ``offset_seed + layer``,
+        modulo the subsample stride, so the start moves from layer to layer.
+        """
+        rate = self.per_layer_rate.get(layer)
+        if rate is None or rate >= 1.0:
+            return None
+        if self.selection_mode == PREDICTED_THRESHOLD:
+            eps = self.downsample_rate
+            offset = (self.offset_seed + layer) % _subsample_stride(eps)
+            return predicted_mask_batch(acts, rate, eps, offset)
+        return select_winners_batch(acts, rate)
 
 
 def winner_count(rate, n):
@@ -153,10 +165,13 @@ def select_winners_batch(acts, rate):
     return mask.T.reshape(acts.shape)
 
 
+def _subsample_stride(eps):
+    return max(1, int(1.0 / eps))
+
+
 def _subsample_indices(n, eps, offset):
     m = max(1, round(eps * n))
-    stride = max(1, int(1.0 / eps))
-    return (offset + np.arange(m) * stride) % n
+    return (offset + np.arange(m) * _subsample_stride(eps)) % n
 
 
 def predicted_mask_batch(acts, rate, eps, offset=0):

@@ -155,6 +155,23 @@ def test_winner_cfg_dict_round_trip():
     assert cfg.selection_mode == "exact_topk"
 
 
+@pytest.mark.parametrize("winner_cfg", [
+    {"downsample_rate": 0.5},                  # no per_layer_rate
+    {"per_layer_rate": {"x": 0.5}},            # a layer key that is no integer
+    {"per_layer_rate": {"2": 0.5}, "rate": 1},  # an unknown field
+    [["2", 0.5]],                              # not a mapping
+    {"per_layer_rate": [0.5]},
+])
+def test_malformed_winner_cfg_is_checkpoint_error(tmp_path, winner_cfg):
+    ckpt = checkpoint_from_network(_small_net())
+    ckpt.winner_cfg = winner_cfg
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(ckpt, path)
+    loaded = load_checkpoint(path)  # the CRC holds: only the config is bad
+    with pytest.raises(CheckpointError, match="winner_cfg"):
+        network_from_checkpoint(loaded)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_param_is_never_saved(tmp_path, bad):
     net = _small_net()

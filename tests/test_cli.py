@@ -197,6 +197,59 @@ def _write_mnist(data_dir, prefix, n, rng):
         struct.pack(">II", 2049, n) + labels.tobytes())
 
 
+def _mnist_config(tmp_path, rng, n_train, n_test, extra=""):
+    """A mlp3 config over random IDX files of ``n_train`` and ``n_test``
+    digits, with 50 of the training digits held out for validation."""
+    data = tmp_path / "data"
+    data.mkdir()
+    _write_mnist(data, "train", n_train, rng)
+    _write_mnist(data, "t10k", n_test, rng)
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text(f"model: mlp3\ndata: {{dir: {data}, val_size: 50}}\n"
+                   f"outputs: {tmp_path / 'out'}\n{extra}")
+    return str(cfg)
+
+
+def test_cli_unknown_optimizer_is_one_line_error(tmp_path, capsys, rng):
+    cfg = _mnist_config(tmp_path, rng, 100, 10,
+                        "train: {optimizer: adam, baseline_epochs: 1}\n")
+    assert main(["train-dense", cfg]) == 1
+    _one_line_error(capsys, "unknown optimizer 'adam'")
+    assert not (tmp_path / "out" / "dense.ckpt").exists()
+
+
+def test_cli_masking_commands_attach_the_config_rates(tmp_path, capsys, rng):
+    """A dense checkpoint holds no winner rates: eval --mode jp, report-macs
+    --masked and predict-threshold-study attach the experiment's, and eval
+    --mode dense and an unmasked report-macs run without them."""
+    cfg = _mnist_config(tmp_path, rng, 300, 100,
+                        "seed: 0\ntrain: {baseline_epochs: 1, batch_size: 50}\n")
+    out = tmp_path / "out"
+    assert main(["train-dense", cfg]) == 0
+    dense = str(out / "dense.ckpt")
+    assert load_checkpoint(dense).winner_cfg is None
+
+    frac = {}
+    for mode in ("jp", "dense"):
+        assert main(["eval", cfg, "--checkpoint", dense, "--mode", mode]) == 0
+        frac[mode] = {r[0]: float(r[2]) for r in read_report(out / f"sparsity_{mode}.csv")[1]}
+    assert frac["jp"]["2"] <= 0.12 and frac["jp"]["5"] <= 0.24  # mlp3's reference rates
+    assert frac["dense"]["2"] > frac["jp"]["2"]
+
+    mac_percent = {}
+    for masked in (False, True):
+        flags = ["--masked"] if masked else []
+        assert main(["report-macs", cfg, "--checkpoint", dense, "--batch", "64", *flags]) == 0
+        header, rows = read_report(out / "macs.csv")
+        mac_percent[masked] = float(rows[-1][header.index("mac_percent")])
+    assert mac_percent[True] < mac_percent[False]
+
+    assert main(["predict-threshold-study", cfg, "--checkpoint", dense,
+                 "--eps-grid", "1.0", "0.5"]) == 0
+    assert len(read_report(out / "threshold_prediction.csv")[1]) == 2
+    assert capsys.readouterr().err == ""
+
+
 def test_cli_eval_on_empty_test_split_is_one_line_error(tmp_path, capsys, rng):
     data = tmp_path / "data"
     data.mkdir()

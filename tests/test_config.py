@@ -88,6 +88,9 @@ def test_config_errors(tmp_path):
     with pytest.raises(ConfigError, match="winner_rates"):
         load_experiment(_write(tmp_path,
                                "model: mlp3\ndata: {dir: /d}\nprune: {winner_rates: 3}\n"))
+    with pytest.raises(ConfigError, match="unknown optimizer 'adam'"):
+        load_experiment(_write(tmp_path,
+                               "model: mlp3\ndata: {dir: /d}\ntrain: {optimizer: adam}\n"))
 
 
 def test_load_data_subset_and_split(tmp_path, data_dir):

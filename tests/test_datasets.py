@@ -87,14 +87,15 @@ def test_cifar_synthetic_round_trip(tmp_path, rng):
     labels = np.array([0, 3, 9, 1, 5], dtype=np.uint8)
     path = tmp_path / "batch.bin"
     _write_cifar_batch(path, images, labels)
-    split = load_cifar10([path], standardize=False)
+    split = load_cifar10([path])
     assert split.images.shape == (5, 3, 32, 32)
     assert np.array_equal(split.labels, labels)
-    assert np.allclose(split.images, images / 255.0)
-    # standardized variant applies the fixed per-channel statistics
-    std = load_cifar10([path], standardize=True)
+    # the [0,1] pixels, standardized with the fixed per-channel statistics
+    plain = images.astype(np.float32) / 255.0
+    assert np.array_equal(
+        split.images, (plain - CIFAR10_MEAN[:, None, None]) / CIFAR10_STD[:, None, None])
     expect = (images / 255.0 - CIFAR10_MEAN[:, None, None]) / CIFAR10_STD[:, None, None]
-    assert np.allclose(std.images, expect, atol=1e-6)
+    assert np.allclose(split.images, expect, atol=1e-6)
 
 
 def test_cifar_bad_files(tmp_path, rng):
@@ -136,7 +137,7 @@ def test_center_crop(tmp_path, rng):
     images = rng.integers(0, 256, size=(2, 3, 32, 32), dtype=np.uint8)
     path = tmp_path / "b.bin"
     _write_cifar_batch(path, images, np.zeros(2, dtype=np.uint8))
-    split = load_cifar10([path], standardize=False)
+    split = load_cifar10([path])
     cropped = center_crop(split, 24)
     assert cropped.images.shape == (2, 3, 24, 24)
     assert np.array_equal(cropped.images, split.images[:, :, 4:28, 4:28])
@@ -162,8 +163,8 @@ def test_real_cifar10(data_dir):
     paths = cifar10_paths(data_dir)
     if not os.path.exists(paths["train"][0]):
         pytest.skip("CIFAR-10 binaries not present")
-    train = load_cifar10(paths["train"], standardize=False)
-    test = load_cifar10(paths["test"], role="test", standardize=False)
+    train = load_cifar10(paths["train"])
+    test = load_cifar10(paths["test"], role="test")
     assert len(train) == 50_000 and len(test) == 10_000
     counts = np.bincount(train.labels, minlength=10)
     assert np.all(counts == 5_000)

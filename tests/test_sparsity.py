@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from jointprune.errors import ConfigError, ShapeError
+from jointprune.pipeline import SensitivityCurve, choose_winner_rates
 from jointprune.sparsity import (
     WinnerRateConfig,
     predicted_mask_batch,
@@ -292,9 +293,26 @@ def test_bad_inputs_raise():
 def test_config_with_rates_preserves_setup():
     cfg = WinnerRateConfig(per_layer_rate={2: 0.3}, downsample_rate=0.1,
                            selection_mode="predicted_threshold", offset_seed=9)
-    new = cfg.with_rates({4: 0.5})
+    curve = SensitivityCurve(baseline_accuracy=0.9, points={4: [(0.5, 0.0), (1.0, 0.0)]})
+    new = choose_winner_rates(curve, 0.01, template=cfg)
     assert new.per_layer_rate == {4: 0.5}
     assert new.downsample_rate == 0.1
     assert new.selection_mode == "predicted_threshold"
     assert new.offset_seed == 9
-    assert cfg.rate_for(2) == 0.3 and cfg.rate_for(7) is None
+    assert cfg.per_layer_rate == {2: 0.3}  # the template is left as it was
+    assert cfg.mask(7, np.ones((2, 50), dtype=np.float32)) is None
+
+
+def test_config_mask_selects_by_mode(rng):
+    acts = rng.standard_normal((4, 301)).astype(np.float32)
+    exact = WinnerRateConfig(per_layer_rate={2: 0.1, 3: 1.0})
+    assert np.array_equal(exact.mask(2, acts), select_winners_batch(acts, 0.1))
+    assert exact.mask(3, acts) is None  # rate 1 keeps everything: no mask
+    assert exact.mask(5, acts) is None
+    # a predicted mask subsamples from offset_seed + layer, modulo the stride
+    # floor(1 / eps) = 4
+    pred = WinnerRateConfig(per_layer_rate={2: 0.1, 7: 0.1}, downsample_rate=0.25,
+                            selection_mode="predicted_threshold", offset_seed=5)
+    assert np.array_equal(pred.mask(2, acts), predicted_mask_batch(acts, 0.1, 0.25, 3))
+    assert np.array_equal(pred.mask(7, acts), predicted_mask_batch(acts, 0.1, 0.25, 0))
+    assert not np.array_equal(pred.mask(2, acts), predicted_mask_batch(acts, 0.1, 0.25, 7))
