@@ -84,10 +84,9 @@ def cmd_prune(exp, args):
 
 def cmd_eval(exp, args):
     net = _load_net(exp, args.checkpoint or _out(exp, "jp.ckpt"), masked=args.mode == "jp")
-    mode = {"dense": "dense", "wp": "wp_only", "jp": "jp"}[args.mode]
     _, _, test = exp.load_data()
-    stat_layers = exp.preset.mask_layers
-    acc, stats = pipeline.evaluate(net, test, mode=mode, stat_layers=stat_layers)
+    mode = "jp" if args.mode == "jp" else "dense"  # wp: a weight-pruned net, no activation masks
+    acc, stats = pipeline.evaluate(net, test, mode=mode, stat_layers=exp.preset.mask_layers)
     metrics.emit_report(stats.table(), _out(exp, f"sparsity_{args.mode}.csv"))
     print(f"eval: mode={args.mode} test_acc={acc:.4f} "
           f"acti_percent={stats.activation_percent:.2f}")

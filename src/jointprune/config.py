@@ -1,14 +1,15 @@
 """Experiment configuration: a YAML file tying together model, data,
 training hyperparameters and sparsity settings.
 
-Unknown models, malformed values and missing required keys raise
-:class:`ConfigError` naming the offending key path.
+Unknown keys or sections, unknown models, malformed values and missing
+required keys raise :class:`ConfigError` naming the offending key path.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+import typing
+from dataclasses import dataclass, field
 
 import numpy as np
 import yaml
@@ -26,11 +27,11 @@ class Experiment:
     train_cfg: TrainConfig
     mask_cfg: WinnerRateConfig
     data_dir: str
-    val_size: int
-    train_subset: int | None
-    rate_grid: list
-    tolerable_drop: float
-    out_dir: str
+    out_dir: str  # default runs/<model>
+    val_size: int = 10000
+    train_subset: int | None = None
+    rate_grid: list[float] = field(default_factory=lambda: [0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 1.0])
+    tolerable_drop: float = 0.01
 
     def load_data(self):
         """Returns (train, val, test) splits prepared for the model."""
@@ -53,85 +54,103 @@ class Experiment:
         return train, val, test
 
 
-def _get(doc, path, default=None, required=False):
-    cur = doc
-    for part in path.split("."):
-        if not isinstance(cur, dict) or part not in cur:
-            if required:
-                raise ConfigError(f"missing config key: {path}")
-            return default
-        cur = cur[part]
-    return cur
+# Every accepted YAML key, as a dotted path, and the (dataclass, field) its
+# value lands on, cast to that field's type; an absent key keeps the field's
+# default.  ``model`` and ``train.base_dropout`` also pick the preset, whose
+# own maps the two per-layer keys take when absent or ``reference``.
+KEYS = {
+    "model": (Experiment, "preset"),
+    "seed": (TrainConfig, "seed"),  # also WinnerRateConfig.offset_seed
+    "outputs": (Experiment, "out_dir"),
+    "data.dir": (Experiment, "data_dir"),
+    "data.val_size": (Experiment, "val_size"),
+    "data.train_subset": (Experiment, "train_subset"),
+    "train.optimizer": (TrainConfig, "optimizer"),
+    "train.lr": (TrainConfig, "lr"),
+    "train.momentum": (TrainConfig, "momentum"),
+    "train.rho": (TrainConfig, "rho"),
+    "train.eps": (TrainConfig, "eps"),
+    "train.baseline_epochs": (TrainConfig, "baseline_epochs"),
+    "train.batch_size": (TrainConfig, "batch_size"),
+    "train.base_dropout": (TrainConfig, "base_dropout"),
+    "prune.winner_rates": (WinnerRateConfig, "per_layer_rate"),
+    "prune.weight_targets": (TrainConfig, "weight_target_density"),
+    "prune.l1_strength": (TrainConfig, "l1_strength"),
+    "prune.lr_scale": (TrainConfig, "lr_scale"),
+    "prune.adadelta_lr": (TrainConfig, "adadelta_lr"),
+    "prune.warmup_epochs": (TrainConfig, "warmup_epochs"),
+    "prune.finetune_epochs": (TrainConfig, "finetune_epochs"),
+    "prune.prune_ramp_epochs": (TrainConfig, "prune_ramp_epochs"),
+    "prune.rate_grid": (Experiment, "rate_grid"),
+    "prune.tolerable_drop": (Experiment, "tolerable_drop"),
+    "sparsity.downsample_rate": (WinnerRateConfig, "downsample_rate"),
+    "sparsity.selection_mode": (WinnerRateConfig, "selection_mode"),
+}
+SECTIONS = {key.split(".")[0] for key in KEYS if "." in key}
 
 
-def _as(cast, doc, path, default):
-    """``cast(value)`` of a config key; a bad value names the key path."""
-    value = _get(doc, path, default)
+def _flatten(doc, section=None):
+    """Yields (dotted key path, value) for each key of a config mapping; a
+    key or section not in :data:`KEYS`, or a section that is not a mapping,
+    raises ConfigError."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config {section or 'file'} must be a mapping, got {doc!r}")
+    for key, value in doc.items():
+        path = key if section is None else f"{section}.{key}"
+        if section is None and key in SECTIONS:
+            yield from _flatten({} if value is None else value, key)
+        elif path in KEYS and "." not in str(key):  # one spelling per key
+            yield path, value
+        else:
+            raise ConfigError(f"unknown config key: {path}")
+
+
+def _cast(path, hint, value):
+    """``value`` as a field of type ``hint``: ``X | None`` lets None through,
+    a str field takes only a string, and ``list``/``dict`` cast each item."""
+    args = typing.get_args(hint)
     try:
-        return cast(value)
-    except (TypeError, ValueError):
+        if type(None) in args:
+            return None if value is None else _cast(path, args[0], value)
+        if typing.get_origin(hint) is list:
+            return [args[0](v) for v in value]
+        if typing.get_origin(hint) is dict:
+            return {args[0](k): args[1](v) for k, v in value.items()}
+        if hint is str and not isinstance(value, str):
+            raise TypeError
+        return hint(value)
+    except (AttributeError, TypeError, ValueError):
         raise ConfigError(f"config key {path}: invalid value {value!r}") from None
-
-
-def _per_layer(doc, path, reference):
-    """A {layer: value} map; an absent or 'reference' key gives ``reference``."""
-    value = _get(doc, path)
-    if value in (None, "reference"):
-        return dict(reference)
-    if not isinstance(value, dict):
-        raise ConfigError(f"{path} must be 'reference' or a {{layer: value}} map")
-    return _as(lambda v: {int(k): float(x) for k, x in v.items()}, doc, path, None)
 
 
 def load_experiment(path):
     try:
         with open(path) as f:
-            doc = yaml.safe_load(f) or {}
+            values = dict(_flatten(yaml.safe_load(f) or {}))
     except OSError as e:
         raise ConfigError(f"cannot read config {path}: {e}") from None
     except yaml.YAMLError as e:
         raise ConfigError(f"config {path} is not valid YAML: {e}") from None
 
-    model = _get(doc, "model", required=True)
-    if _get(doc, "train.base_dropout") is None:
-        preset = get_preset(model)
-    else:
-        preset = get_preset(model, base_dropout=_as(float, doc, "train.base_dropout", None))
-    seed = _as(int, doc, "seed", 0)
+    for key in ("model", "data.dir"):
+        if key not in values:
+            raise ConfigError(f"missing config key: {key}")
+    model = values.pop("model")
+    for key in ("prune.winner_rates", "prune.weight_targets"):
+        if values.get(key) in (None, "reference"):
+            values.pop(key, None)
+    kw = {TrainConfig: {}, WinnerRateConfig: {}, Experiment: {}}
+    for key, value in values.items():
+        owner, name = KEYS[key]
+        kw[owner][name] = _cast(key, typing.get_type_hints(owner)[name], value)
+    train_kw, mask_kw, exp_kw = kw.values()
 
-    train_cfg = TrainConfig(
-        optimizer=_get(doc, "train.optimizer", "adadelta"),
-        lr=_as(float, doc, "train.lr", 1.0),
-        momentum=_as(float, doc, "train.momentum", 0.9),
-        rho=_as(float, doc, "train.rho", 0.95),
-        eps=_as(float, doc, "train.eps", 1e-6),
-        baseline_epochs=_as(int, doc, "train.baseline_epochs", 20),
-        batch_size=_as(int, doc, "train.batch_size", 100),
-        l1_strength=_as(float, doc, "prune.l1_strength", 1e-5),
-        lr_scale=_as(float, doc, "prune.lr_scale", 0.1),
-        adadelta_lr=_as(float, doc, "prune.adadelta_lr", 0.1),
-        warmup_epochs=_as(int, doc, "prune.warmup_epochs", 1),
-        finetune_epochs=_as(int, doc, "prune.finetune_epochs", 10),
-        prune_ramp_epochs=_as(int, doc, "prune.prune_ramp_epochs", 4),
-        base_dropout=preset.base_dropout,
-        weight_target_density=_per_layer(doc, "prune.weight_targets", preset.weight_targets),
-        seed=seed,
-    )
-    mask_cfg = WinnerRateConfig(
-        per_layer_rate=_per_layer(doc, "prune.winner_rates", preset.reference_rates),
-        downsample_rate=_as(float, doc, "sparsity.downsample_rate", 1.0),
-        selection_mode=_get(doc, "sparsity.selection_mode", "exact_topk"),
-        offset_seed=seed,
-    )
-    return Experiment(
-        preset=preset,
-        train_cfg=train_cfg,
-        mask_cfg=mask_cfg,
-        data_dir=_get(doc, "data.dir", required=True),
-        val_size=_as(int, doc, "data.val_size", 10000),
-        train_subset=_as(lambda v: v and int(v), doc, "data.train_subset", None),
-        rate_grid=_as(lambda v: [float(r) for r in v], doc, "prune.rate_grid",
-                      [0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 1.0]),
-        tolerable_drop=_as(float, doc, "prune.tolerable_drop", 0.01),
-        out_dir=_get(doc, "outputs", os.path.join("runs", model)),
-    )
+    dropout = train_kw.get("base_dropout")
+    preset = get_preset(model) if dropout is None else get_preset(model, base_dropout=dropout)
+    train_kw["base_dropout"] = preset.base_dropout
+    train_kw.setdefault("weight_target_density", dict(preset.weight_targets))
+    mask_kw.setdefault("per_layer_rate", dict(preset.reference_rates))
+    train_cfg = TrainConfig(**train_kw)
+    mask_cfg = WinnerRateConfig(**mask_kw, offset_seed=train_cfg.seed)
+    exp_kw.setdefault("out_dir", os.path.join("runs", model))
+    return Experiment(preset, train_cfg, mask_cfg, **exp_kw)

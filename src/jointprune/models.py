@@ -169,6 +169,6 @@ PRESETS = {
 
 
 def get_preset(name, **kwargs):
-    if name not in PRESETS:
+    if not isinstance(name, str) or name not in PRESETS:
         raise ConfigError(f"unknown model {name!r}; choose from {sorted(PRESETS)}")
     return PRESETS[name](**kwargs)

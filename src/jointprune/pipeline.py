@@ -39,7 +39,7 @@ class TrainConfig:
     prune_ramp_epochs: int = 4
     batch_size: int = 100
     base_dropout: float | None = None  # None -> use the model preset's value
-    weight_target_density: dict | None = None
+    weight_target_density: dict[int, float] | None = None
     seed: int = 0
 
     def __post_init__(self):
@@ -98,13 +98,13 @@ def _hits(logits, labels):
 def evaluate(net, split, mode="jp", stat_layers=None):
     """Top-1 accuracy plus measured activation sparsity.
 
-    ``mode``: ``dense`` and ``wp_only`` run without activation masks (the
-    weight masks baked into the params still apply); ``jp`` uses the net's
-    winner-rate config.  Stats cover ``stat_layers`` (default: the masked
-    layers) plus the final output, so the same tensors are compared across
-    modes.
+    ``mode``: ``dense`` runs without activation masks (the weight masks
+    baked into the params still apply, so it also evaluates a weight-pruned
+    net); ``jp`` uses the net's winner-rate config.  Stats cover
+    ``stat_layers`` (default: the masked layers) plus the final output, so
+    the same tensors are compared across modes.
     """
-    if mode not in ("dense", "wp_only", "jp"):
+    if mode not in ("dense", "jp"):
         raise ConfigError(f"unknown eval mode {mode!r}")
     cfg = net.mask_cfg
     if mode == "jp" and cfg is None:

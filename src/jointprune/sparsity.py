@@ -43,7 +43,7 @@ class WinnerRateConfig:
     ``predicted_threshold`` mode.
     """
 
-    per_layer_rate: dict = field(default_factory=dict)
+    per_layer_rate: dict[int, float] = field(default_factory=dict)
     downsample_rate: float = 1.0
     selection_mode: str = EXACT_TOPK
     offset_seed: int = 0

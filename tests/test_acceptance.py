@@ -69,7 +69,7 @@ def _run_preset(preset, cfg, train, val, test, with_wp=True):
     if with_wp:
         wp_net = _clone(baseline)
         weight_prune_only(wp_net, cfg, train, val)
-        wp_acc, wp_stats = evaluate(wp_net, test, mode="wp_only",
+        wp_acc, wp_stats = evaluate(wp_net, test, mode="dense",
                                     stat_layers=preset.mask_layers)
         out.update({
             "wp_net": wp_net, "wp_acc": wp_acc, "wp_stats": wp_stats,

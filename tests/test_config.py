@@ -1,10 +1,20 @@
 """Experiment YAML parsing and data preparation."""
 
+import dataclasses
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
+import yaml
 
-from jointprune.config import load_experiment
+from jointprune.cli import main
+from jointprune.config import KEYS, Experiment, load_experiment
 from jointprune.errors import ConfigError
+from jointprune.pipeline import TrainConfig
+from jointprune.sparsity import WinnerRateConfig
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def _write(tmp_path, text, name="exp.yaml"):
@@ -81,6 +91,8 @@ def test_config_errors(tmp_path):
         load_experiment(_write(tmp_path, "model: mlp3\n"))
     with pytest.raises(ConfigError, match="unknown model"):
         load_experiment(_write(tmp_path, "model: resnet\ndata: {dir: /d}\n"))
+    with pytest.raises(ConfigError, match="unknown model"):
+        load_experiment(_write(tmp_path, "model: [mlp3]\ndata: {dir: /d}\n"))
     with pytest.raises(ConfigError, match="cannot read"):
         load_experiment(str(tmp_path / "missing.yaml"))
     with pytest.raises(ConfigError, match="YAML"):
@@ -91,6 +103,90 @@ def test_config_errors(tmp_path):
     with pytest.raises(ConfigError, match="unknown optimizer 'adam'"):
         load_experiment(_write(tmp_path,
                                "model: mlp3\ndata: {dir: /d}\ntrain: {optimizer: adam}\n"))
+    # keys and sections outside the key table, and values of the wrong kind
+    for text, path in [
+        ("prune: {l1_strenght: 0.5}", "unknown config key: prune.l1_strenght"),
+        ("prune: {finetune_epoch: 3}", "unknown config key: prune.finetune_epoch"),
+        ("trian: {lr: 0.1}", "unknown config key: trian"),
+        ("sparsity: {selection-mode: predicted_threshold}",
+         "unknown config key: sparsity.selection-mode"),
+        ("prune.l1_strength: 0.5", "unknown config key: prune.l1_strength"),
+        ("train: 5", "config train must be a mapping"),
+        ("outputs: 5", "config key outputs: invalid value 5"),
+        ("sparsity: {selection_mode: 3}", "config key sparsity.selection_mode: invalid"),
+        ("data: {dir: /d, val_size: [1]}", "config key data.val_size: invalid"),
+    ]:
+        with pytest.raises(ConfigError, match=re.escape(path)):
+            load_experiment(_write(tmp_path, f"model: mlp3\ndata: {{dir: /d}}\n{text}\n"))
+    with pytest.raises(ConfigError, match=re.escape("config key data.dir: invalid value 5")):
+        load_experiment(_write(tmp_path, "model: mlp3\ndata: {dir: 5}\n"))
+    with pytest.raises(ConfigError, match="config file must be a mapping"):
+        load_experiment(_write(tmp_path, "- model\n"))
+
+
+@pytest.mark.parametrize("text", [
+    "data: {dir: 5}",
+    "data: {dir: /d}\noutputs: 5",
+    "data: {dir: /d}\ntrain: 5",
+    "data: {dir: /d}\nprune: {l1_strenght: 0.5}",
+])
+def test_cli_rejects_a_malformed_config_in_one_line(tmp_path, capsys, text):
+    cfg = _write(tmp_path, f"model: mlp3\n{text}\n")
+    assert main(["bench-fc", cfg, "--n-in", "8", "--n-out", "8", "--trials", "1"]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def _set_default(monkeypatch, cls, name, value):
+    """Makes ``value`` the default of dataclass ``cls``'s field ``name``."""
+    names = [f.name for f in dataclasses.fields(cls)]
+    defaults = list(cls.__init__.__defaults__)
+    defaults[names.index(name) - len(names) + len(defaults)] = value
+    monkeypatch.setattr(cls.__init__, "__defaults__", tuple(defaults))
+
+
+def test_dataclass_defaults_reach_the_loaded_config(tmp_path, monkeypatch):
+    _set_default(monkeypatch, TrainConfig, "lr", 0.25)
+    _set_default(monkeypatch, TrainConfig, "finetune_epochs", 3)
+    _set_default(monkeypatch, WinnerRateConfig, "selection_mode", "predicted_threshold")
+    _set_default(monkeypatch, Experiment, "tolerable_drop", 0.05)
+    exp = load_experiment(_write(tmp_path, "model: mlp3\ndata: {dir: /d}\n"))
+    assert exp.train_cfg.lr == 0.25 and exp.train_cfg.finetune_epochs == 3
+    assert exp.mask_cfg.selection_mode == "predicted_threshold"
+    assert exp.tolerable_drop == 0.05
+
+
+@pytest.mark.parametrize("path", sorted((REPO / "configs").glob("*.yaml")),
+                         ids=lambda p: p.name)
+def test_shipped_config_keys_land_on_their_fields(path):
+    doc = yaml.safe_load(path.read_text())
+    exp = load_experiment(str(path))
+    objects = {TrainConfig: exp.train_cfg, WinnerRateConfig: exp.mask_cfg, Experiment: exp}
+    references = {"prune.winner_rates": exp.preset.reference_rates,
+                  "prune.weight_targets": exp.preset.weight_targets}
+    flat = {}
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            flat.update({f"{key}.{k}": v for k, v in value.items()})
+        else:
+            flat[key] = value
+    for key, value in flat.items():
+        owner, name = KEYS[key]
+        got = getattr(objects[owner], name)
+        if key == "model":
+            got = got.name
+        if value == "reference":
+            value = references[key]
+        assert got == value, key
+    assert exp.mask_cfg.offset_seed == doc["seed"]
+
+
+def test_readme_lists_the_key_table():
+    rows = re.findall(r"^\| `([^`]+)` \| `(\w+)\.(\w+)`", (REPO / "README.md").read_text(),
+                      flags=re.M)
+    assert {key: (owner, name) for key, owner, name in rows} == {
+        key: (owner.__name__, name) for key, (owner, name) in KEYS.items()}
+    assert len(rows) == len(KEYS)
 
 
 def test_load_data_subset_and_split(tmp_path, data_dir):

@@ -254,7 +254,7 @@ def test_weight_prune_only_has_no_activation_masks():
                       weight_target_density={1: 0.5}, seed=0)
     weight_prune_only(net, cfg, _blobs(seed=1), _blobs(seed=2))
     assert net.mask_cfg is not None and net.mask_cfg.per_layer_rate == {}
-    acc, stats = evaluate(net, _blobs(seed=2), mode="wp_only")
+    acc, stats = evaluate(net, _blobs(seed=2), mode="dense")
     assert acc > 0.9
 
 
@@ -352,9 +352,8 @@ def test_finetune_from_nan_entry_state_raises():
 def test_evaluate_empty_split_raises():
     net, _ = _trained()
     empty = _blobs(seed=2).subset(np.arange(0), "test")
-    for mode in ("dense", "wp_only"):
-        with pytest.raises(ConfigError, match="empty test split"):
-            evaluate(net, empty, mode=mode)
+    with pytest.raises(ConfigError, match="empty test split"):
+        evaluate(net, empty, mode="dense")
 
 
 def test_evaluate_holds_only_the_outputs_it_reads():
