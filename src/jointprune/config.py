@@ -16,6 +16,7 @@ import yaml
 
 from . import datasets
 from .errors import ConfigError
+from .fields import cast_field
 from .models import get_preset
 from .pipeline import TrainConfig
 from .sparsity import WinnerRateConfig
@@ -55,7 +56,8 @@ class Experiment:
 
 
 # Every accepted YAML key, as a dotted path, and the (dataclass, field) its
-# value lands on, cast to that field's type; an absent key keeps the field's
+# value lands on, cast to that field's type by ``cast_field`` (a value of
+# another kind is rejected, not converted); an absent key keeps the field's
 # default.  ``model`` and ``train.base_dropout`` also pick the preset, whose
 # own maps the two per-layer keys take when absent or ``reference``.
 KEYS = {
@@ -105,24 +107,6 @@ def _flatten(doc, section=None):
             raise ConfigError(f"unknown config key: {path}")
 
 
-def _cast(path, hint, value):
-    """``value`` as a field of type ``hint``: ``X | None`` lets None through,
-    a str field takes only a string, and ``list``/``dict`` cast each item."""
-    args = typing.get_args(hint)
-    try:
-        if type(None) in args:
-            return None if value is None else _cast(path, args[0], value)
-        if typing.get_origin(hint) is list:
-            return [args[0](v) for v in value]
-        if typing.get_origin(hint) is dict:
-            return {args[0](k): args[1](v) for k, v in value.items()}
-        if hint is str and not isinstance(value, str):
-            raise TypeError
-        return hint(value)
-    except (AttributeError, TypeError, ValueError):
-        raise ConfigError(f"config key {path}: invalid value {value!r}") from None
-
-
 def load_experiment(path):
     try:
         with open(path) as f:
@@ -142,7 +126,10 @@ def load_experiment(path):
     kw = {TrainConfig: {}, WinnerRateConfig: {}, Experiment: {}}
     for key, value in values.items():
         owner, name = KEYS[key]
-        kw[owner][name] = _cast(key, typing.get_type_hints(owner)[name], value)
+        try:
+            kw[owner][name] = cast_field(typing.get_type_hints(owner)[name], value)
+        except (AttributeError, TypeError, ValueError):
+            raise ConfigError(f"config key {key}: invalid value {value!r}") from None
     train_kw, mask_kw, exp_kw = kw.values()
 
     dropout = train_kw.get("base_dropout")

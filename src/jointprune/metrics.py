@@ -9,6 +9,7 @@ comparisons are not MACs and are excluded.  Dense counts use batch size 1.
 from __future__ import annotations
 
 import csv
+import math
 import statistics
 import time
 from dataclasses import dataclass, field
@@ -26,33 +27,14 @@ except ImportError:  # pragma: no cover
 
 
 def weight_layer_names(net):
-    """Stable display names for fc/conv layers: conv1, conv2, ..., fc1, ..."""
-    names = {}
-    counts = {"fc": 0, "conv2d": 0}
+    """Stable display names for the weight layers: conv1, conv2, ..., fc1, ..."""
+    names, counts = {}, {"fc": 0, "conv": 0}
     for i, layer in enumerate(net.layers):
-        if layer.kind in counts:
-            counts[layer.kind] += 1
+        if layer.params:
             prefix = "fc" if layer.kind == "fc" else "conv"
-            names[i] = f"{prefix}{counts[layer.kind]}"
+            counts[prefix] += 1
+            names[i] = f"{prefix}{counts[prefix]}"
     return names
-
-
-def dense_macs_for_layer(net, index):
-    layer = net.layers[index]
-    out_shape = net.layer_shapes[index]
-    if layer.kind == "fc":
-        g = layer.spec.geometry
-        return g["n_in"] * g["n_out"]
-    if layer.kind == "conv2d":
-        g = layer.spec.geometry
-        _, oh, ow = out_shape
-        return oh * ow * g["kernel"] * g["kernel"] * g["in_ch"] * g["out_ch"]
-    raise ConfigError(f"layer {index} ({layer.kind}) has no MACs")
-
-
-def count_dense_macs(net):
-    """Per-layer dense MAC counts at batch size 1, keyed by layer index."""
-    return {i: dense_macs_for_layer(net, i) for i in weight_layer_names(net)}
 
 
 @dataclass
@@ -137,7 +119,8 @@ def count_effective_macs(net, batch):
 
     Runs an eval-mode forward (dynamic winner masks applied when the net
     carries a mask config), then counts nonzero-input x unpruned-weight
-    pairs per fc/conv layer, averaged over the batch.
+    pairs per fc/conv layer, averaged over the batch.  A layer's dense count
+    is its weight count times its output positions (one for an fc layer).
     """
     batch = np.asarray(batch, dtype=net.dtype)
     names = weight_layer_names(net)
@@ -156,7 +139,7 @@ def count_effective_macs(net, batch):
         report.rows.append(
             MacLayerRow(
                 name=name,
-                dense_macs=dense_macs_for_layer(net, i),
+                dense_macs=w.value.size * math.prod(net.layer_shapes[i][1:]),
                 effective_macs=eff,
                 acti_density_in=nonzero_count(inp) / inp.size,
                 weight_density=w.density(),

@@ -128,24 +128,24 @@ def convnet5(base_dropout=0.3):
     )
 
 
-def leaky6(slope=0.1, base_dropout=0.0):
+def leaky6(base_dropout=0.0):
     """Six weight layers with leaky-ReLU and one additive skip; no intrinsic
     activation zeros, so every winner mask works on dense tensors."""
     if base_dropout:
         raise ConfigError("leaky6 has no dropout layers; base_dropout must be 0")
     specs = [
         conv2d(3, 32, 3, stride=1, pad=1),    # 0
-        leaky_relu(slope),                    # 1  masked
+        leaky_relu(),                         # 1  masked
         conv2d(32, 32, 3, stride=2, pad=1),   # 2  -> 16x16
-        leaky_relu(slope),                    # 3
+        leaky_relu(),                         # 3
         skip_save("block"),                   # 4  masked (feeds conv 5)
         conv2d(32, 32, 3, stride=1, pad=1),   # 5
-        leaky_relu(slope),                    # 6
+        leaky_relu(),                         # 6
         skip_add("block"),                    # 7  masked (feeds conv 8)
         conv2d(32, 64, 3, stride=2, pad=1),   # 8  -> 8x8
-        leaky_relu(slope),                    # 9  masked
+        leaky_relu(),                         # 9  masked
         conv2d(64, 64, 3, stride=1, pad=1),   # 10
-        leaky_relu(slope),                    # 11 masked
+        leaky_relu(),                         # 11 masked
         flatten(),                            # 12
         fc(4096, 10),                         # 13
     ]

@@ -19,8 +19,6 @@ from . import sparsity
 from .errors import ConfigError, ShapeError
 from .layers import LayerSpec, build_layer
 
-WEIGHT_KINDS = ("fc", "conv2d")
-
 
 class ForwardResult:
     """Per-layer activations from one forward pass.
@@ -103,12 +101,8 @@ class Network:
             self.mask_cfg = saved
 
     def weight_params(self):
-        """(layer_index, param) pairs for the fc/conv weight matrices."""
-        return [
-            (i, layer.params[0])
-            for i, layer in enumerate(self.layers)
-            if layer.kind in WEIGHT_KINDS
-        ]
+        """(layer_index, weight) pairs: the first param of each layer with params."""
+        return [(i, layer.params[0]) for i, layer in enumerate(self.layers) if layer.params]
 
     def params(self):
         return [p for layer in self.layers for p in layer.params]

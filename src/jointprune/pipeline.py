@@ -13,9 +13,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigError, DivergenceError
-from .layers import LAYER_KINDS
 from .metrics import SparsityStats, nonzero_count
-from .network import WEIGHT_KINDS, loss_and_backward
+from .network import loss_and_backward
 from .optim import check_optimizer_name, make_optimizer
 from .sparsity import WinnerRateConfig, prune_weights_by_magnitude, threshold_for_target_density
 
@@ -38,7 +37,7 @@ class TrainConfig:
     finetune_epochs: int = 10
     prune_ramp_epochs: int = 4
     batch_size: int = 100
-    base_dropout: float | None = None  # None -> use the model preset's value
+    base_dropout: float | None = None  # C_d; None: joint_finetune keeps the dropout rates as built
     weight_target_density: dict[int, float] | None = None
     seed: int = 0
 
@@ -215,17 +214,15 @@ def adjust_dropout(base_rate, winner_rate):
     return base_rate * math.sqrt(winner_rate)
 
 
-_TRANSPARENT = set(LAYER_KINDS) - set(WEIGHT_KINDS)
-
-
 def reconcile_dropout(net, mask_cfg, base_dropout):
-    """Set each dropout layer's rate to C_d * sqrt(rate of the mask it follows)."""
+    """Set each dropout layer's rate to C_d * sqrt(rate of the mask it follows,
+    with no weight layer in between; 1.0 when there is none)."""
     for j, spec in enumerate(net.specs):
         if spec.kind != "dropout":
             continue
         rate = None
         i = j - 1
-        while i >= 0 and net.specs[i].kind in _TRANSPARENT:
+        while i >= 0 and not net.layers[i].params:
             if i in mask_cfg.per_layer_rate:
                 rate = mask_cfg.per_layer_rate[i]
                 break

@@ -6,12 +6,13 @@ criterion so that large negative leaky-ReLU responses survive.  Ties at the
 cut magnitude are broken in favour of the lowest flat index, which makes
 reruns deterministic.
 
-Both selection modes find each sample's cut with one helper,
-``_kth_largest_abs``: a partition of a sample-major |a| copy whose IEEE bits
-are read as integers, which orders them as the floats but partitions about
-twice as fast.  Exact selection keeps every |a| >= cut; a sample with more
-ties at the cut than places left keeps its ties up to one cut position,
-found with one flat lookup over the ties listed by sample and position.
+Both selection modes find each sample's cut, and weight pruning its
+magnitude cut, with one helper, ``_kth_largest_abs``: a partition of a
+sample-major |a| copy whose IEEE bits are read as integers, which orders
+them as the floats but partitions about twice as fast.  Exact selection
+keeps every |a| >= cut; a sample with more ties at the cut than places left
+keeps its ties up to one cut position, found with one flat lookup over the
+ties listed by sample and position.
 
 The predicted-threshold variant estimates the k-th magnitude from a strided
 subsample instead of partitioning the full tensor; the realized winner
@@ -208,17 +209,16 @@ def prune_weights_by_magnitude(weights, threshold):
 def threshold_for_target_density(weights, target_density):
     """Magnitude cut such that |w| > cut leaves ~target_density of weights.
 
-    Uses the (1 - d) quantile of |w|; the achieved density is within one
-    weight of the target up to ties.
+    Uses the (1 - d) quantile of |w|, found by the partition that winner
+    selection uses, on the weights as one (N, 1) column; the achieved
+    density is within one weight of the target up to ties.
     """
     if not 0.0 < target_density <= 1.0:
         raise ConfigError(f"target density must be in (0,1], got {target_density}")
     weights = np.asarray(weights)
     if target_density == 1.0:
         return 0.0
-    mag = np.abs(weights).reshape(-1)
-    n = mag.size
-    keep = winner_count(target_density, n)
+    col = weights.reshape(-1, 1)
     # cut just below the keep-th largest magnitude
-    kth = np.partition(mag, n - keep)[n - keep]
+    kth = _kth_largest_abs(col, winner_count(target_density, col.shape[0]))[0]
     return float(np.nextafter(kth, 0.0))

@@ -219,6 +219,16 @@ def subsample_threshold(acts, rate, eps, offset):
     return sub[min(m, max(1, math.ceil(eps * k))) - 1]
 
 
+def magnitude_cut_partition(weights, target_density):
+    """The weight-pruning cut the way the library first computed it: a float
+    partition of a flat |w| copy for the keep-th largest magnitude, keep =
+    ceil(d * N) in [1, N], then the next float toward zero."""
+    mag = np.abs(np.asarray(weights)).reshape(-1)
+    n = mag.size
+    keep = min(n, max(1, math.ceil(target_density * n)))
+    return float(np.nextafter(np.partition(mag, n - keep)[n - keep], 0.0))
+
+
 def central_diff_grad(f, param, indices, h=1e-5):
     """Central finite differences of scalar f() wrt param.value[indices]."""
     grads = []

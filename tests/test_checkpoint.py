@@ -1,10 +1,14 @@
 """Checkpoint serialization: bit-exact round trips, corruption detection."""
 
+import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import jointprune
 from jointprune import checkpoint as ckpt_io
 from jointprune import layers as L
 from jointprune.checkpoint import (
@@ -161,6 +165,8 @@ def test_winner_cfg_dict_round_trip():
     {"per_layer_rate": {"2": 0.5}, "rate": 1},  # an unknown field
     [["2", 0.5]],                              # not a mapping
     {"per_layer_rate": [0.5]},
+    {"per_layer_rate": {"2": 0.5}, "offset_seed": 2.5},  # a fractional int field
+    {"per_layer_rate": {"2": True}},                      # a bool rate
 ])
 def test_malformed_winner_cfg_is_checkpoint_error(tmp_path, winner_cfg):
     ckpt = checkpoint_from_network(_small_net())
@@ -170,6 +176,15 @@ def test_malformed_winner_cfg_is_checkpoint_error(tmp_path, winner_cfg):
     loaded = load_checkpoint(path)  # the CRC holds: only the config is bad
     with pytest.raises(CheckpointError, match="winner_cfg"):
         network_from_checkpoint(loaded)
+
+
+def test_checkpoint_reader_leaves_yaml_unimported():
+    """Loading a checkpoint shares the YAML reader's cast rule but not its
+    PyYAML import, a large share of a serving process's start-up."""
+    src = os.path.dirname(os.path.dirname(jointprune.__file__))
+    code = "import sys, jointprune.checkpoint; sys.exit('yaml' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

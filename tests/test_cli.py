@@ -1,5 +1,6 @@
 """End-to-end CLI runs on a small MNIST subset."""
 
+import math
 import struct
 
 import numpy as np
@@ -247,6 +248,42 @@ def test_cli_masking_commands_attach_the_config_rates(tmp_path, capsys, rng):
     assert main(["predict-threshold-study", cfg, "--checkpoint", dense,
                  "--eps-grid", "1.0", "0.5"]) == 0
     assert len(read_report(out / "threshold_prediction.csv")[1]) == 2
+    assert capsys.readouterr().err == ""
+
+
+def test_cli_sweep_prune_and_bench_fc_on_random_digits(tmp_path, capsys, rng):
+    """sweep-sensitivity, prune (with its dropout reconciliation) and
+    bench-fc after a dense run on random IDX files."""
+    cfg = _mnist_config(tmp_path, rng, 300, 100,
+                        "seed: 0\ntrain: {baseline_epochs: 1, batch_size: 50}\n"
+                        "prune: {warmup_epochs: 1, finetune_epochs: 2, prune_ramp_epochs: 2,"
+                        " rate_grid: [0.2, 0.5, 1.0]}\n")
+    out = tmp_path / "out"
+    exp = load_experiment(cfg)
+    assert main(["train-dense", cfg]) == 0
+
+    assert main(["sweep-sensitivity", cfg]) == 0
+    header, rows = read_report(out / "sensitivity.csv")
+    assert header == ["layer_index", "winner_rate", "accuracy_drop"]
+    assert len(rows) == 2 * 3  # two maskable layers x three grid rates
+    assert [float(r[2]) for r in rows if float(r[1]) == 1.0] == [0.0, 0.0]
+
+    assert main(["prune", cfg]) == 0
+    ckpt = load_checkpoint(out / "jp.ckpt")
+    rates = exp.mask_cfg.per_layer_rate
+    assert ckpt.winner_cfg["per_layer_rate"] == {str(k): float(v) for k, v in rates.items()}
+    targets = exp.train_cfg.weight_target_density
+    assert sorted(ckpt.masks) == [f"layer{i}.w" for i in sorted(targets)]
+    for i, target in targets.items():
+        mask = ckpt.masks[f"layer{i}.w"]
+        assert abs(mask.mean() - target) <= 1 / mask.size
+    dropouts = [(j, d["geometry"]["rate"]) for j, d in enumerate(ckpt.arch)
+                if d["kind"] == "dropout"]
+    assert dropouts == [(3, 0.2 * math.sqrt(rates[2])), (6, 0.2 * math.sqrt(rates[5]))]
+
+    assert main(["bench-fc", cfg, "--n-in", "256", "--n-out", "256", "--trials", "5"]) == 0
+    header, rows = read_report(out / "bench_fc.csv")
+    assert len(rows) == 1 and float(rows[0][header.index("speedup")]) > 0
     assert capsys.readouterr().err == ""
 
 

@@ -137,6 +137,39 @@ def test_cli_rejects_a_malformed_config_in_one_line(tmp_path, capsys, text):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("text, path", [
+    ("data: {dir: /d}\nseed: 2.9", "seed"),
+    ("data: {dir: /d}\nseed: true", "seed"),
+    ("data: {dir: /d}\ntrain: {batch_size: 100.7}", "train.batch_size"),
+    ("data: {dir: /d}\ntrain: {lr: yes}", "train.lr"),
+    ("data: {dir: /d, train_subset: 10.5}", "data.train_subset"),
+    ("data: {dir: /d}\nprune: {winner_rates: {2: yes}}", "prune.winner_rates"),
+    ("data: {dir: /d}\nprune: {weight_targets: {1.5: 0.5}}", "prune.weight_targets"),
+    ("data: {dir: /d}\nprune: {rate_grid: [0.5, true]}", "prune.rate_grid"),
+])
+def test_a_value_of_another_kind_is_rejected_not_converted(tmp_path, capsys, text, path):
+    """A bool in a number field and a fractional float in an int field, also
+    as a list or dict item, exit 1 with one line naming the key path."""
+    cfg = _write(tmp_path, f"model: mlp3\n{text}\n")
+    assert main(["bench-fc", cfg, "--n-in", "8", "--n-out", "8", "--trials", "1"]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: config key {path}: invalid")
+
+
+def test_integral_floats_and_numeric_strings_still_load(tmp_path):
+    exp = load_experiment(_write(tmp_path, """
+model: mlp3
+seed: 3.0
+data: {dir: /d}
+train: {batch_size: 100.0}
+prune: {l1_strength: 1e-5, winner_rates: {"2": 0.5, 5.0: 1}}
+"""))
+    assert exp.train_cfg.batch_size == 100 and type(exp.train_cfg.batch_size) is int
+    assert exp.train_cfg.seed == 3 and type(exp.train_cfg.seed) is int
+    assert exp.train_cfg.l1_strength == 1e-5  # PyYAML reads 1e-5 as a string
+    assert exp.mask_cfg.per_layer_rate == {2: 0.5, 5: 1.0}
+
+
 def _set_default(monkeypatch, cls, name, value):
     """Makes ``value`` the default of dataclass ``cls``'s field ``name``."""
     names = [f.name for f in dataclasses.fields(cls)]

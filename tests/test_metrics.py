@@ -12,9 +12,7 @@ from jointprune.metrics import (
     SparsityStats,
     SpeedupRecord,
     bench_condensed_fc,
-    count_dense_macs,
     count_effective_macs,
-    dense_macs_for_layer,
     emit_report,
     read_report,
     weight_layer_names,
@@ -29,16 +27,23 @@ from oracles import (
 )
 
 
+def _dense_macs(net):
+    """Dense MAC count per weight layer, keyed by layer index, as the MAC
+    report states it."""
+    rows = count_effective_macs(net, np.zeros((1, *net.input_shape))).rows
+    return dict(zip(weight_layer_names(net), (r.dense_macs for r in rows)))
+
+
 def test_mlp3_dense_mac_counts():
     net = get_preset("mlp3").build()
-    macs = count_dense_macs(net)
+    macs = _dense_macs(net)
     assert macs == {1: 235_200, 4: 30_000, 7: 1_000}
     assert sum(macs.values()) == 266_200
 
 
 def test_lenet4_dense_mac_counts():
     net = get_preset("lenet4").build()
-    macs = count_dense_macs(net)
+    macs = _dense_macs(net)
     assert macs[0] == 28 * 28 * 5 * 5 * 1 * 20  # 392000
     assert macs[3] == 14 * 14 * 5 * 5 * 20 * 50  # 4900000
     assert macs[7] == 2450 * 500
@@ -48,7 +53,7 @@ def test_lenet4_dense_mac_counts():
 
 def test_convnet5_dense_mac_counts():
     net = get_preset("convnet5").build()
-    macs = count_dense_macs(net)
+    macs = _dense_macs(net)
     assert macs[0] == 691_200
     assert macs[3] == 3_686_400
     assert macs[7] == 884_736
@@ -59,9 +64,7 @@ def test_convnet5_dense_mac_counts():
 
 def test_one_by_one_fc():
     net = Network([L.flatten(), L.fc(1, 1)], (1, 1, 1))
-    assert dense_macs_for_layer(net, 1) == 1
-    with pytest.raises(ConfigError):
-        dense_macs_for_layer(net, 0)  # flatten has no MACs
+    assert _dense_macs(net) == {1: 1}  # flatten has no MACs
 
 
 def test_weight_layer_names():

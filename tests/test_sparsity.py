@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from jointprune.errors import ConfigError, ShapeError
+from jointprune.models import PRESETS, get_preset
 from jointprune.pipeline import SensitivityCurve, choose_winner_rates
 from jointprune.sparsity import (
     WinnerRateConfig,
@@ -15,7 +16,12 @@ from jointprune.sparsity import (
     winner_count,
 )
 
-from oracles import select_winners_reference, subsample_threshold, topk_fullsort
+from oracles import (
+    magnitude_cut_partition,
+    select_winners_reference,
+    subsample_threshold,
+    topk_fullsort,
+)
 
 
 def _winners(acts, rate):
@@ -268,6 +274,29 @@ def test_quantile_threshold_with_ties():
     mask = prune_weights_by_magnitude(w, t)
     assert mask.sum() == 10
     assert np.all(mask[10:] == 1)
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_magnitude_cut_equals_the_float_partition_cut(name):
+    """On every preset's initial weights, and on the same weights pruned to
+    the preset's targets (ties at +-0), the cut is the flat float
+    partition's, bit for bit."""
+    preset = get_preset(name)
+    for i, p in preset.build(seed=3).weight_params():
+        pruned = p.value * prune_weights_by_magnitude(
+            p.value, magnitude_cut_partition(p.value, preset.weight_targets[i]))
+        for w in (p.value, pruned):
+            for d in (0.01, 0.3, 0.99):
+                got = np.float64(threshold_for_target_density(w, d))
+                assert got.tobytes() == np.float64(magnitude_cut_partition(w, d)).tobytes()
+
+
+def test_magnitude_cut_places_nans_as_the_float_partition():
+    w = np.array([[0.5, np.nan, -2.0], [-0.0, np.inf, -np.nan]], dtype=np.float32)
+    for d in (0.1, 0.3, 0.5, 0.7, 0.9):
+        got, want = threshold_for_target_density(w, d), magnitude_cut_partition(w, d)
+        assert got == want or (np.isnan(got) and np.isnan(want)), d
+    assert np.isnan(threshold_for_target_density(w, 0.1))
 
 
 # -- validation -------------------------------------------------------------
