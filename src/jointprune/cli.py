@@ -2,7 +2,8 @@
 
 Every subcommand reads the experiment config, writes its CSV/checkpoint
 artifacts into the config's output directory and prints a one-line
-summary.  Exit status 0 on success, 1 with a diagnostic on failure.
+summary.  Exit status 0 on success (and on ``-h``), 1 with a one-line
+diagnostic on any failure, a usage error included.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import replace
 from . import checkpoint as ckpt_io
 from . import metrics, pipeline
 from .config import load_experiment
-from .errors import JointPruneError
+from .errors import ConfigError, JointPruneError
 from .sparsity import PREDICTED_THRESHOLD
 
 
@@ -94,6 +95,8 @@ def cmd_eval(exp, args):
 
 
 def cmd_report_macs(exp, args):
+    if args.batch < 1:
+        raise ConfigError(f"--batch must be >= 1, got {args.batch}")
     net = _load_net(exp, args.checkpoint or _out(exp, "jp.ckpt"), masked=args.masked)
     _, _, test = exp.load_data()
     batch = test.images[: args.batch]
@@ -133,9 +136,15 @@ def cmd_threshold_prediction_study(exp, args):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser (and subparsers) whose usage errors raise ConfigError."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(prog="jointprune",
-                                     description="joint weight/activation pruning toolkit")
+    parser = _Parser(prog="jointprune", description="joint weight/activation pruning toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, fn):
@@ -170,8 +179,8 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         exp = load_experiment(args.config)
         return args.fn(exp, args)
     except (JointPruneError, OSError) as e:

@@ -52,6 +52,7 @@ _REQUIRED_GEOMETRY = {
     "conv2d": ("in_ch", "out_ch", "kernel", "stride", "pad"),
     "maxpool": ("window", "stride", "pad"),
     "avgpool": ("window", "stride", "pad"),
+    "leaky_relu": ("slope",),
     "dropout": ("rate",),
     "skip_save": ("tag",),
     "skip_add": ("tag",),
@@ -74,7 +75,7 @@ class LayerSpec:
         if missing:
             raise ConfigError(f"{self.kind} layer geometry lacks {', '.join(missing)}")
         if self.kind == "leaky_relu":
-            slope = self.geometry.get("slope", 0.1)
+            slope = self.geometry["slope"]
             if not 0.0 < slope < 1.0:
                 raise ConfigError(f"leaky_relu slope must be in (0,1), got {slope}")
         if self.kind == "dropout":
@@ -264,7 +265,9 @@ class Param:
 
 class Layer:
     """Every layer kind is built as ``cls(spec, rng, dtype)``; a None
-    ``rng`` leaves the weights at zero."""
+    ``rng`` leaves the weights at zero.  Each kind but the skip markers
+    defines ``forward(x, train=False, rng=None)``, which returns the output,
+    and ``backward(dout)``, which returns the input gradient."""
 
     kind = None
 
@@ -274,12 +277,6 @@ class Layer:
 
     def out_shape(self, in_shape):
         return in_shape
-
-    def forward(self, x, train=False, rng=None):
-        raise NotImplementedError
-
-    def backward(self, dout):
-        raise NotImplementedError
 
 
 class Dense(Layer):
@@ -503,7 +500,7 @@ class LeakyReLU(Layer):
     kind = "leaky_relu"
 
     def forward(self, x, train=False, rng=None):
-        slope = self.spec.geometry.get("slope", 0.1)
+        slope = self.spec.geometry["slope"]
         self._pos = x > 0 if train else None
         # same bits as np.where(x > 0, x, slope * x), since 0 < slope < 1
         out = slope * x
@@ -512,7 +509,7 @@ class LeakyReLU(Layer):
     def backward(self, dout):
         """The bits of np.where(pos, dout, slope * dout), selected without a
         branch per element: (low ^ dout) * pos ^ low on unsigned views."""
-        low = self.spec.geometry.get("slope", 0.1) * dout
+        low = self.spec.geometry["slope"] * dout
         uint = f"u{dout.itemsize}"
         sel = low.view(uint) ^ dout.view(uint)
         np.multiply(sel, self._pos, out=sel)

@@ -12,13 +12,15 @@ import csv
 import math
 import statistics
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .checkpoint import _replacing
 from .errors import ConfigError, JointPruneError
 from .layers import _im2col
-from .sparsity import winner_count
+from .sparsity import select_winners_batch
 
 try:
     from threadpoolctl import threadpool_limits
@@ -213,18 +215,24 @@ def bench_condensed_fc(n_in, n_out, rate, trials=100, warmup=10, seed=0):
     """Dense matvec vs winner selection + gathered-row condensed matvec.
 
     Batch size 1, single thread, median of ``trials`` runs after warm-up.
-    Functional equivalence of the two paths is asserted before timing.
+    The winners are the library's exact selection, and the timed select
+    takes their indices too.  Functional equivalence of the two paths is
+    asserted before timing.
     """
     if trials < 1:
         raise ConfigError("trials must be >= 1")
+    if n_in < 1 or n_out < 1:
+        raise ConfigError(f"fc layer must be at least 1x1, got {n_in}x{n_out}")
     if not 0.0 < rate <= 1.0:
         raise ConfigError(f"winner rate must be in (0,1], got {rate}")
     rng = np.random.default_rng(seed)
     w = rng.standard_normal((n_in, n_out)).astype(np.float32)
     a = rng.standard_normal(n_in).astype(np.float32)
-    k = winner_count(rate, n_in)
-    idx = np.argpartition(np.abs(a), n_in - k)[n_in - k :]
 
+    def run_select():
+        return np.flatnonzero(select_winners_batch(a[None], rate))
+
+    idx = run_select()
     masked = np.zeros_like(a)
     masked[idx] = a[idx]
     dense_on_winners = masked @ w
@@ -237,34 +245,15 @@ def bench_condensed_fc(n_in, n_out, rate, trials=100, warmup=10, seed=0):
     def run_dense():
         a @ w
 
-    def run_select():
-        kk = n_in - k
-        np.argpartition(np.abs(a), kk)[kk:]
-
     def run_condensed():
         a[idx] @ w[idx]
 
-    def timed():
+    with nullcontext() if threadpool_limits is None else threadpool_limits(limits=1):
         t_orig, u1 = _median_times(run_dense, trials, warmup)
         t_sel, u2 = _median_times(run_select, trials, warmup)
         t_mac, u3 = _median_times(run_condensed, trials, warmup)
-        return t_orig, t_sel, t_mac, u1 or u2 or u3
-
-    if threadpool_limits is not None:
-        with threadpool_limits(limits=1):
-            t_orig, t_sel, t_mac, unstable = timed()
-    else:
-        t_orig, t_sel, t_mac, unstable = timed()
-    return SpeedupRecord(
-        n_in=n_in,
-        n_out=n_out,
-        winner_rate=rate,
-        time_original=t_orig,
-        time_select=t_sel,
-        time_condensed_mac=t_mac,
-        trials=trials,
-        unstable=unstable,
-    )
+    return SpeedupRecord(n_in, n_out, rate, time_original=t_orig, time_select=t_sel,
+                         time_condensed_mac=t_mac, trials=trials, unstable=u1 or u2 or u3)
 
 
 # -- CSV emission -----------------------------------------------------------
@@ -278,10 +267,11 @@ SPEEDUP_HEADER = ["n_in", "n_out", "winner_rate", "time_original_s",
 
 def emit_report(table, path):
     """Write a ``(header, rows)`` table, as every report's ``table()``
-    returns it, as CSV with a stable column order."""
+    returns it, as CSV with a stable column order.  As a checkpoint, it is
+    written atomically: a write that fails leaves the old report."""
     header, rows = table
     try:
-        with open(path, "w", newline="") as f:
+        with _replacing(path, "w", newline="") as f:
             writer = csv.writer(f, lineterminator="\n")
             writer.writerow(header)
             for row in rows:

@@ -15,9 +15,9 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from . import sparsity
 from .errors import ConfigError, ShapeError
 from .layers import LayerSpec, build_layer
+from .sparsity import WinnerRateConfig
 
 
 class ForwardResult:
@@ -179,23 +179,22 @@ class Network:
         suffix runs on its own copy of the skip branches pending at ``l``
         (unmasked, as a masked forward saves them), so the trunk goes on with
         them intact.  So one trunk activation and one suffix are alive at a
-        time, and only logits are kept.  Layers and rates are validated before
-        any layer runs.
+        time, and only logits are kept.  Each mask comes from a one-layer
+        :class:`WinnerRateConfig`, built (and so validated, with the layers)
+        before any layer runs.
         """
         for layer in layers:
             self._check_maskable(layer)
-        for rate in rates:
-            if not 0.0 < rate <= 1.0:
-                raise ConfigError(f"winner rate must be in (0,1], got {rate}")
+        cfgs = {layer: [(rate, WinnerRateConfig(per_layer_rate={layer: rate})) for rate in rates]
+                for layer in layers}
         x = self._as_input(x)
-        swept = set(layers)
         masked, branches = {}, {}
         for i in range(len(self.layers)):
             x = self._layer_forward(i, x, branches)
-            if i not in swept:
-                continue
-            for rate in rates:
-                y = x * sparsity.select_winners_batch(x, rate)
+            for rate, cfg in cfgs.get(i, ()):
+                t = cfg.mask(i, x)
+                y = x if t is None else x * t
+                del t  # a mask kept alive through the suffix raises the sweep's peak
                 suffix = dict(branches)
                 for j in range(i + 1, len(self.layers)):
                     y = self._layer_forward(j, y, suffix)

@@ -28,9 +28,6 @@ class Optimizer:
             if p.mask is not None:
                 p.value *= p.mask
 
-    def _update(self):
-        raise NotImplementedError
-
 
 class SGD(Optimizer):
     def __init__(self, params, lr=0.1, momentum=0.0):

@@ -68,10 +68,10 @@ def minibatches(n, batch_size, rng=None):
         yield order[start : start + batch_size]
 
 
-def _make_opt(cfg, params, lr):
-    if cfg.optimizer == "sgd":
-        return make_optimizer("sgd", params, lr=lr, momentum=cfg.momentum)
-    return make_optimizer(cfg.optimizer, params, lr=lr, rho=cfg.rho, eps=cfg.eps)
+def _make_opt(name, cfg, params, lr):
+    """Optimizer ``name`` at ``lr``, with the settings ``cfg`` holds for it."""
+    hyper = {"momentum": cfg.momentum} if name == "sgd" else {"rho": cfg.rho, "eps": cfg.eps}
+    return make_optimizer(name, params, lr=lr, **hyper)
 
 
 def run_epoch(net, opt, split, cfg, rng, alpha=0.0):
@@ -135,7 +135,7 @@ def train_dense(net, cfg, train_split, val_split=None, epochs=None):
     """Plain baseline training: no masks, no l1 term."""
     epochs = cfg.baseline_epochs if epochs is None else epochs
     rng = np.random.default_rng(cfg.seed)
-    opt = _make_opt(cfg, net.params(), cfg.lr)
+    opt = _make_opt(cfg.optimizer, cfg, net.params(), cfg.lr)
     history = []
     for epoch in range(epochs):
         total, ce, l1 = run_epoch(net, opt, train_split, cfg, rng)
@@ -293,12 +293,11 @@ def joint_finetune(net, mask_cfg, cfg, train_split, val_split):
     best = (None, -1.0)
     try:
         if cfg.warmup_epochs:
-            opt = _make_opt(cfg, net.params(), cfg.lr * cfg.lr_scale)
+            opt = _make_opt(cfg.optimizer, cfg, net.params(), cfg.lr * cfg.lr_scale)
             for epoch in range(cfg.warmup_epochs):
                 losses = run_epoch(net, opt, train_split, cfg, rng, alpha=alpha)
                 record("warmup", epoch, losses)
-        opt = make_optimizer("adadelta", net.params(), lr=cfg.adadelta_lr,
-                             rho=cfg.rho, eps=cfg.eps)
+        opt = _make_opt("adadelta", cfg, net.params(), cfg.adadelta_lr)
         for epoch in range(cfg.finetune_epochs):
             ramp = min(1.0, (epoch + 1) / max(1, cfg.prune_ramp_epochs))
             prune_to_targets(net, targets, ramp)
@@ -308,9 +307,8 @@ def joint_finetune(net, mask_cfg, cfg, train_split, val_split):
                 best = (_snapshot(net), acc)
     except DivergenceError as e:
         log.warning("finetuning diverged (%s); restoring last good state", e)
-        history.append({"phase": "aborted", "epoch": -1, "loss": float("nan"),
-                        "ce": float("nan"), "l1": float("nan"), "val_acc": float("nan"),
-                        "weight_density": net.weight_density(), "act_percent": float("nan")})
+        history.append({**dict.fromkeys(HISTORY_HEADER, float("nan")), "phase": "aborted",
+                        "epoch": -1, "weight_density": net.weight_density()})
         if best[0] is None:  # diverged before any post-ramp snapshot
             best = (entry, None)
     if best[0] is not None:
@@ -330,7 +328,4 @@ HISTORY_HEADER = ["phase", "epoch", "loss", "ce", "l1", "val_acc",
 
 
 def history_rows(history):
-    rows = []
-    for row in history:
-        rows.append([row.get(k, "") for k in HISTORY_HEADER])
-    return HISTORY_HEADER, rows
+    return HISTORY_HEADER, [[row.get(k, "") for k in HISTORY_HEADER] for row in history]

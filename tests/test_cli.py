@@ -1,16 +1,19 @@
-"""End-to-end CLI runs on a small MNIST subset."""
+"""End-to-end CLI runs on a small MNIST subset and on random MNIST and
+CIFAR-10 files, plus the one-line failure contract."""
 
 import math
-import struct
+from pathlib import Path
 
-import numpy as np
 import pytest
+import yaml
 
 from jointprune.checkpoint import checkpoint_from_network, load_checkpoint, save_checkpoint
 from jointprune.cli import main
 from jointprune.config import load_experiment
 from jointprune.metrics import read_report
 from jointprune.models import get_preset
+
+from datafiles import write_cifar10, write_mnist
 
 
 @pytest.fixture(scope="module")
@@ -160,7 +163,7 @@ def test_cli_missing_checkpoint_is_one_line_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("preset, index, key", [("mlp3", 1, "n_out"), ("leaky6", 4, "tag"),
-                                                ("mlp3", 1, "kind")])
+                                                ("mlp3", 1, "kind"), ("leaky6", 1, "slope")])
 def test_cli_eval_on_checkpoint_missing_geometry_is_one_line_error(tmp_path, capsys,
                                                                    preset, index, key):
     ckpt = checkpoint_from_network(get_preset(preset).build())
@@ -188,23 +191,13 @@ def test_cli_malformed_value_names_key_path(tmp_path, capsys):
     _one_line_error(capsys, "train.lr", "'abc'")
 
 
-def _write_mnist(data_dir, prefix, n, rng):
-    """IDX image and label files holding ``n`` random 28x28 digits."""
-    images = rng.integers(0, 256, size=(n, 28, 28), dtype=np.uint8)
-    (data_dir / f"{prefix}-images-idx3-ubyte").write_bytes(
-        struct.pack(">IIII", 2051, n, 28, 28) + images.tobytes())
-    labels = rng.integers(0, 10, size=n, dtype=np.uint8)
-    (data_dir / f"{prefix}-labels-idx1-ubyte").write_bytes(
-        struct.pack(">II", 2049, n) + labels.tobytes())
-
-
 def _mnist_config(tmp_path, rng, n_train, n_test, extra=""):
     """A mlp3 config over random IDX files of ``n_train`` and ``n_test``
     digits, with 50 of the training digits held out for validation."""
     data = tmp_path / "data"
     data.mkdir()
-    _write_mnist(data, "train", n_train, rng)
-    _write_mnist(data, "t10k", n_test, rng)
+    write_mnist(data, "train", n_train, rng)
+    write_mnist(data, "test", n_test, rng)
     cfg = tmp_path / "exp.yaml"
     cfg.write_text(f"model: mlp3\ndata: {{dir: {data}, val_size: 50}}\n"
                    f"outputs: {tmp_path / 'out'}\n{extra}")
@@ -290,8 +283,8 @@ def test_cli_sweep_prune_and_bench_fc_on_random_digits(tmp_path, capsys, rng):
 def test_cli_eval_on_empty_test_split_is_one_line_error(tmp_path, capsys, rng):
     data = tmp_path / "data"
     data.mkdir()
-    _write_mnist(data, "train", 20, rng)
-    _write_mnist(data, "t10k", 0, rng)
+    write_mnist(data, "train", 20, rng)
+    write_mnist(data, "test", 0, rng)
     ckpt = tmp_path / "dense.ckpt"
     save_checkpoint(checkpoint_from_network(get_preset("mlp3").build()), ckpt)
     cfg = tmp_path / "exp.yaml"
@@ -304,8 +297,8 @@ def test_cli_eval_on_empty_test_split_is_one_line_error(tmp_path, capsys, rng):
 def test_cli_sweep_rate_above_one_is_one_line_error(tmp_path, capsys, rng):
     data = tmp_path / "data"
     data.mkdir()
-    _write_mnist(data, "train", 20, rng)
-    _write_mnist(data, "t10k", 5, rng)
+    write_mnist(data, "train", 20, rng)
+    write_mnist(data, "test", 5, rng)
     ckpt = tmp_path / "dense.ckpt"
     save_checkpoint(checkpoint_from_network(get_preset("mlp3").build()), ckpt)
     cfg = tmp_path / "exp.yaml"
@@ -314,3 +307,80 @@ def test_cli_sweep_rate_above_one_is_one_line_error(tmp_path, capsys, rng):
     assert main(["sweep-sensitivity", str(cfg), "--checkpoint", str(ckpt)]) == 1
     _one_line_error(capsys, "winner rate", "1.5")
     assert not (tmp_path / "out" / "sensitivity.csv").exists()
+
+
+@pytest.mark.parametrize("preset, index, entry, needle", [
+    ("mlp3", 2, {"kind": "gelu", "geometry": {}}, "unknown layer kind 'gelu'"),
+    ("leaky6", 1, {"kind": "leaky_relu", "geometry": {"slope": 1.5}},
+     "leaky_relu slope must be in (0,1), got 1.5"),
+    ("mlp3", 3, {"kind": "dropout", "geometry": {"rate": 1.0}},
+     "dropout rate must be in [0,1), got 1.0"),
+])
+def test_cli_eval_on_checkpoint_with_bad_layer_is_one_line_error(tmp_path, capsys,
+                                                                 preset, index, entry, needle):
+    ckpt = checkpoint_from_network(get_preset(preset).build())
+    ckpt.arch[index] = entry
+    path = tmp_path / "bad.ckpt"
+    save_checkpoint(ckpt, path)
+    assert main(["eval", _config(tmp_path, tmp_path), "--checkpoint", str(path)]) == 1
+    _one_line_error(capsys, needle)
+
+
+@pytest.mark.parametrize("argv, needles", [
+    (["report-macs", "x.yaml", "--batch", "abc"],
+     ["error: argument --batch: invalid int value: 'abc'"]),
+    (["eval", "x.yaml", "--mode", "bogus"], ["argument --mode: invalid choice", "'bogus'"]),
+    (["bogus", "x.yaml"], ["argument command: invalid choice", "'bogus'"]),
+    (["eval"], ["the following arguments are required: config"]),
+], ids=["batch-abc", "mode-bogus", "unknown-command", "no-config"])
+def test_cli_usage_error_is_one_line_error(capsys, argv, needles):
+    assert main(argv) == 1
+    _one_line_error(capsys, *needles)
+
+
+def test_cli_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["-h"])
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: jointprune")
+
+
+@pytest.mark.parametrize("argv, needles", [
+    (["bench-fc", "--n-in", "0"], ["fc layer must be at least 1x1, got 0x4096"]),
+    (["bench-fc", "--n-out", "0"], ["got 4096x0"]),
+    (["report-macs", "--batch", "-5"], ["--batch must be >= 1, got -5"]),
+    (["report-macs", "--batch", "0"], ["--batch must be >= 1, got 0"]),
+], ids=["n-in-0", "n-out-0", "batch-minus-5", "batch-0"])
+def test_cli_size_below_one_is_one_line_error(tmp_path, capsys, argv, needles):
+    assert main([argv[0], _config(tmp_path, tmp_path), *argv[1:]]) == 1
+    _one_line_error(capsys, *needles)
+
+
+@pytest.mark.parametrize("model, input_shape, n_masked, n_weight", [
+    ("convnet5", (3, 24, 24), 4, 5),
+    ("leaky6", (3, 32, 32), 5, 6),
+], ids=["convnet5", "leaky6"])
+def test_cli_chain_on_random_cifar10(tmp_path, capsys, rng, model, input_shape, n_masked,
+                                     n_weight):
+    """train-dense, prune, eval and report-macs through the committed config,
+    cut to random CIFAR-10 batches and one epoch per phase: the CIFAR branch
+    of Experiment.load_data, with its train subset and convnet5's crop."""
+    data = tmp_path / "data"
+    data.mkdir()
+    write_cifar10(data, 24, 30, rng)
+    doc = yaml.safe_load((Path(__file__).parents[1] / "configs" / f"{model}.yaml").read_text())
+    doc["data"].update(dir=str(data), val_size=20, train_subset=60)
+    doc["train"]["baseline_epochs"] = 1
+    doc["prune"].update(warmup_epochs=1, finetune_epochs=1)
+    doc["outputs"] = str(tmp_path / "out")
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text(yaml.safe_dump(doc))
+    for command in ("train-dense", "prune", "eval", "report-macs"):
+        assert main([command, str(cfg)]) == 0, command
+    assert capsys.readouterr().err == ""
+    out = tmp_path / "out"
+    assert load_checkpoint(out / "dense.ckpt").input_shape == input_shape
+    rows = {name: len(read_report(out / name)[1])
+            for name in ("dense_history.csv", "prune_history.csv", "sparsity_jp.csv", "macs.csv")}
+    assert rows == {"dense_history.csv": 1, "prune_history.csv": 2,  # warm-up + finetune
+                    "sparsity_jp.csv": n_masked + 1, "macs.csv": n_weight + 1}  # output, Total

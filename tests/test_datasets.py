@@ -19,33 +19,15 @@ from jointprune.datasets import (
 )
 from jointprune.errors import DataFormatError
 
-
-def _write_idx_images(path, images):
-    n, h, w = images.shape
-    with open(path, "wb") as f:
-        f.write(struct.pack(">IIII", 2051, n, h, w))
-        f.write(images.astype(np.uint8).tobytes())
-
-
-def _write_idx_labels(path, labels):
-    with open(path, "wb") as f:
-        f.write(struct.pack(">II", 2049, len(labels)))
-        f.write(np.asarray(labels, dtype=np.uint8).tobytes())
-
-
-def _write_cifar_batch(path, images, labels):
-    recs = np.empty((len(labels), CIFAR_RECORD_BYTES), dtype=np.uint8)
-    recs[:, 0] = labels
-    recs[:, 1:] = images.reshape(len(labels), -1)
-    recs.tofile(path)
+from datafiles import write_cifar_batch, write_idx_images, write_idx_labels
 
 
 def test_mnist_synthetic_round_trip(tmp_path, rng):
     images = rng.integers(0, 256, size=(7, 28, 28), dtype=np.uint8)
     labels = rng.integers(0, 10, size=7)
     ip, lp = tmp_path / "imgs", tmp_path / "lbls"
-    _write_idx_images(ip, images)
-    _write_idx_labels(lp, labels)
+    write_idx_images(ip, images)
+    write_idx_labels(lp, labels)
     split = load_mnist(ip, lp, role="test")
     assert split.images.shape == (7, 1, 28, 28)
     assert split.images.dtype == np.float32
@@ -58,8 +40,8 @@ def test_mnist_synthetic_round_trip(tmp_path, rng):
 def test_mnist_bad_files(tmp_path, rng):
     ip, lp = tmp_path / "imgs", tmp_path / "lbls"
     images = rng.integers(0, 256, size=(3, 28, 28), dtype=np.uint8)
-    _write_idx_images(ip, images)
-    _write_idx_labels(lp, [1, 2, 3])
+    write_idx_images(ip, images)
+    write_idx_labels(lp, [1, 2, 3])
 
     bad_magic = tmp_path / "bad_magic"
     bad_magic.write_bytes(struct.pack(">IIII", 1234, 3, 28, 28))
@@ -72,7 +54,7 @@ def test_mnist_bad_files(tmp_path, rng):
         load_mnist(truncated, lp)
 
     short_labels = tmp_path / "short_lbls"
-    _write_idx_labels(short_labels, [1, 2])
+    write_idx_labels(short_labels, [1, 2])
     with pytest.raises(DataFormatError, match="count"):
         load_mnist(ip, short_labels)
 
@@ -86,7 +68,7 @@ def test_cifar_synthetic_round_trip(tmp_path, rng):
     images = rng.integers(0, 256, size=(5, 3, 32, 32), dtype=np.uint8)
     labels = np.array([0, 3, 9, 1, 5], dtype=np.uint8)
     path = tmp_path / "batch.bin"
-    _write_cifar_batch(path, images, labels)
+    write_cifar_batch(path, images, labels)
     split = load_cifar10([path])
     assert split.images.shape == (5, 3, 32, 32)
     assert np.array_equal(split.labels, labels)
@@ -115,8 +97,8 @@ def test_train_val_split_deterministic(tmp_path, rng):
     images = rng.integers(0, 256, size=(20, 28, 28), dtype=np.uint8)
     labels = rng.integers(0, 10, size=20)
     ip, lp = tmp_path / "i", tmp_path / "l"
-    _write_idx_images(ip, images)
-    _write_idx_labels(lp, labels)
+    write_idx_images(ip, images)
+    write_idx_labels(lp, labels)
     split = load_mnist(ip, lp)
     tr1, va1 = train_val_split(split, 5, seed=42)
     tr2, va2 = train_val_split(split, 5, seed=42)
@@ -136,7 +118,7 @@ def test_train_val_split_deterministic(tmp_path, rng):
 def test_center_crop(tmp_path, rng):
     images = rng.integers(0, 256, size=(2, 3, 32, 32), dtype=np.uint8)
     path = tmp_path / "b.bin"
-    _write_cifar_batch(path, images, np.zeros(2, dtype=np.uint8))
+    write_cifar_batch(path, images, np.zeros(2, dtype=np.uint8))
     split = load_cifar10([path])
     cropped = center_crop(split, 24)
     assert cropped.images.shape == (2, 3, 24, 24)

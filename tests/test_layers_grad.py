@@ -452,6 +452,10 @@ def test_shape_error_names_layer():
         net.forward(np.zeros((1, 1, 3, 3), dtype=np.float32))
     with pytest.raises(ShapeError, match="layer 1"):
         Network([L.flatten(), L.fc(11, 4)], (1, 2, 5))
+    with pytest.raises(ShapeError, match=r"layer 0 \(conv2d\): .* yields empty output"):
+        Network([L.conv2d(1, 2, 5)], (1, 3, 3))
+    with pytest.raises(ShapeError, match=r"layer 1 \(avgpool\): .* yields empty output"):
+        Network([L.relu(), L.avgpool(2, pad=0)], (1, 1, 1))
 
 
 # -- Param: masking, density and the grad buffer ---------------------------

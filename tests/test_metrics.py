@@ -1,6 +1,8 @@
 """MAC accounting against brute-force pair counting, plus CSV reports and
 the fc condensation benchmark."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -196,6 +198,35 @@ def test_empty_report_is_header_only(tmp_path):
     assert path.read_text() == "layer,dense_macs,effective_macs,acti_density_in,weight_density,mac_percent\n"
     header, rows = read_report(path)
     assert rows == []
+
+
+class _Unprintable:
+    def __str__(self):
+        raise ValueError("no text")
+
+
+def _fail_replace(src, dst):
+    raise OSError(18, "Invalid cross-device link")
+
+
+@pytest.mark.parametrize("fault", ["cell", "replace"])
+def test_failed_report_write_keeps_previous_report(tmp_path, monkeypatch, fault):
+    """A report write that fails after its header (a cell whose str()
+    raises, or the rename) raises, leaves the report it would replace
+    byte-identical and leaves no temp file; an OSError is JointPruneError."""
+    path = tmp_path / "r.csv"
+    emit_report((["a", "b"], [[1, 2]]), path)
+    before = path.read_bytes()
+    if fault == "cell":
+        rows, error = [[3, 4], [_Unprintable(), 5]], pytest.raises(ValueError, match="no text")
+    else:
+        monkeypatch.setattr(os, "replace", _fail_replace)
+        rows, error = [[3, 4]], pytest.raises(JointPruneError, match="cannot write report")
+    with error:
+        emit_report((["a", "b"], rows), path)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["r.csv"]
 
 
 def test_read_report_errors(tmp_path):

@@ -380,6 +380,7 @@ def test_pruned_weights_need_no_second_mask(rng, dtype):
     ("dropout", {}, "rate"),
     ("skip_save", {}, "tag"),
     ("skip_add", {}, "tag"),
+    ("leaky_relu", {}, "slope"),
 ])
 def test_spec_missing_geometry_is_config_error(kind, geometry, missing):
     with pytest.raises(ConfigError, match=f"{kind} layer geometry lacks {missing}"):

@@ -1,6 +1,7 @@
 """Training pipeline: sensitivity sweep, rate selection, dropout
 reconciliation, prune ramp and joint finetuning on small synthetic data."""
 
+import logging
 import tracemalloc
 
 import numpy as np
@@ -157,7 +158,7 @@ def test_sensitivity_sweep_matches_reference(name, monkeypatch):
     assert any(drop > 0 for pts in curve.points.values() for _, drop in pts)
 
 
-def test_choose_winner_rates():
+def test_choose_winner_rates(caplog):
     curve = SensitivityCurve(baseline_accuracy=0.9, points={
         2: [(0.1, 0.30), (0.3, 0.05), (0.5, 0.01), (1.0, 0.0)],
         5: [(0.1, 0.50), (0.3, 0.40), (0.5, 0.30), (1.0, 0.0)],
@@ -174,6 +175,12 @@ def test_choose_winner_rates():
     # template settings carry over
     tpl = WinnerRateConfig(downsample_rate=0.1, selection_mode="predicted_threshold")
     assert choose_winner_rates(curve, 0.06, template=tpl).downsample_rate == 0.1
+    # a curve over the tolerance at every rate it holds falls back to 1.0,
+    # which leaves the layer out of the config, with a warning
+    steep = SensitivityCurve(baseline_accuracy=0.9, points={2: [(0.1, 0.30), (0.5, 0.10)]})
+    with caplog.at_level(logging.WARNING, logger="jointprune.pipeline"):
+        assert choose_winner_rates(steep, tolerable_drop=0.06).per_layer_rate == {}
+    assert "layer 2: no winner rate within drop 0.0600" in caplog.text
 
 
 def test_adjust_dropout_values():
@@ -330,6 +337,10 @@ def test_finetune_divergence_in_warmup_restores_entry_state():
         history = joint_finetune(net, WinnerRateConfig(per_layer_rate={2: 0.5}),
                                  cfg, _blobs(seed=1), _blobs(seed=2))
     assert [row["phase"] for row in history] == ["aborted"]  # diverged in warm-up
+    aborted = history[0]
+    assert list(aborted) == HISTORY_HEADER
+    assert aborted["epoch"] == -1 and aborted["weight_density"] == 1.0  # no pruning yet
+    assert np.isnan([aborted[k] for k in ("loss", "ce", "l1", "val_acc", "act_percent")]).all()
     for p, value in zip(net.params(), entry, strict=True):
         assert p.value.tobytes() == value.tobytes(), p.name
         assert p.mask is None
