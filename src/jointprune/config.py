@@ -34,6 +34,10 @@ class Experiment:
     rate_grid: list[float] = field(default_factory=lambda: [0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 1.0])
     tolerable_drop: float = 0.01
 
+    def __post_init__(self):
+        if self.train_subset is not None and self.train_subset < 1:
+            raise ConfigError(f"data.train_subset must be >= 1, got {self.train_subset}")
+
     def load_data(self):
         """Returns (train, val, test) splits prepared for the model."""
         preset = self.preset
@@ -46,7 +50,7 @@ class Experiment:
             full = datasets.load_cifar10(paths["train"], role="train")
             test = datasets.load_cifar10(paths["test"], role="test")
         train, val = datasets.train_val_split(full, self.val_size, self.train_cfg.seed)
-        if self.train_subset:
+        if self.train_subset is not None:
             train = train.subset(np.arange(min(self.train_subset, len(train))))
         if preset.crop:
             train = datasets.center_crop(train, preset.crop)

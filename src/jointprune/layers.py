@@ -27,7 +27,13 @@ the same bytes, and the output already has the (C, H, W, B) layout.
 Backward computes ``dw`` in one GEMM over all columns and scatters
 ``dx`` back through the matching clipped col2im into (C, H, W, B); the
 first weight layer of a network skips ``dx``.  The effective-MAC counter
-uses the same im2col.
+uses the same im2col.  A single sample's columns are instead copied in
+one strided pass from the windows of a zero-padded copy of the input,
+with the same bytes.
+
+An eval-mode fc forward of a single sample through a large layer with few
+nonzero inputs multiplies only the weight rows of those inputs (see
+``Dense.forward``); every other fc forward is the dense ``x @ w + b``.
 
 Pooling reduces the k*k strided window taps of a padded (C, H, W, B) copy
 one at a time, in (i, j) row-major order, with no window tensor.
@@ -42,6 +48,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, ShapeError
 
@@ -165,11 +172,24 @@ def _im2col(x4, k, s, p, ys, xs, buf=None):
     that read padding, so the columns may fill the front of any flat
     ``buf`` (or an array of their own) whatever it held.  An input whose
     batch is not innermost (an NCHW array viewed as (C, H, W, B)) has only
-    the rows this window reads transposed."""
+    the rows this window reads transposed.  A single sample (B == 1) is
+    instead copied once from the windows of a zero-padded copy of the
+    input, which gives the same bytes."""
     c, h, w, b = x4.shape
     ny, nx = len(ys), len(xs)
     shape = (c, k, k, ny, nx, b)
     cols = np.empty(shape, x4.dtype) if buf is None else buf[:math.prod(shape)].reshape(shape)
+    if b == 1:
+        # a single sample fills its columns in one strided copy from the
+        # k x k windows of a zero-padded copy: the k*k tap copies of a few
+        # hundred elements each cost more in calls than in bytes
+        xp = x4[..., 0]
+        if p:
+            xp = np.zeros((c, h + 2 * p, w + 2 * p), x4.dtype)
+            xp[:, p:p + h, p:p + w] = x4[..., 0]
+        win = sliding_window_view(xp, (k, k), axis=(1, 2))[:, ::s, ::s]
+        cols[..., 0] = win[:, ys.start:ys.stop, xs.start:xs.stop].transpose(0, 3, 4, 1, 2)
+        return cols.reshape(c * k * k, -1)
     row0 = max(0, ys.start * s - p)
     xb = x4[:, row0:max(row0, (ys.stop - 1) * s - p + k)]
     if b > 1 and xb.strides[-1] != xb.itemsize:
@@ -221,6 +241,16 @@ def _unit_gemm(w2, cols, n, out2):
 # hundreds of MB at batch 500 (196 MB for lenet4's conv2), and then page
 # faults and cache misses, not the GEMM, set the eval speed.
 EVAL_COLS_BYTES = 4 << 20
+
+# Weight count from which a batch-1 eval fc forward gathers the weight rows
+# of its nonzero inputs when at most a quarter of them are nonzero (see
+# ``Dense.forward``).  Measured (us, dense/gathered, f32, one BLAS thread of
+# a 2-vCPU x86 host) at input densities 0.02, 0.10, 0.17, 0.25 and 0.35:
+# 2450x500 162/15, 163/32, 156/59, 158/111, 153/197; 2304x384 111/16,
+# 103/31, 107/43, 106/72, 103/114.  Below 2**18 weights the gather saves a
+# few us at best: 784x300 17/8 at 0.02 but 13/19 at 0.25, and 500x10,
+# 192x10 and 4096x10 were slower gathered at every density (by 3 to 31 us).
+FC_GATHER_MIN_WEIGHTS = 1 << 18
 
 
 def _uniform_init(rng, shape, fan_in, dtype):
@@ -297,8 +327,19 @@ class Dense(Layer):
         return (self.spec.geometry["n_out"],)
 
     def forward(self, x, train=False, rng=None):
+        """``x @ w + b``.  An eval forward of a single sample through a large
+        layer (at least ``FC_GATHER_MIN_WEIGHTS`` weights) with at most a
+        quarter of its inputs nonzero multiplies only the weight rows of the
+        nonzero inputs, ``x[:, nz] @ w[nz] + b``, as a zero-skipping
+        accelerator does.  So there a non-finite weight in a row whose
+        input is zero is not read, and the output stays finite."""
         self._x = x if train else None
-        return x @ self.w.value + self.b.value
+        w = self.w.value
+        if not train and len(x) == 1 and w.size >= FC_GATHER_MIN_WEIGHTS:
+            nz = np.flatnonzero(x[0])
+            if 4 * len(nz) <= len(w):
+                return x[:, nz] @ w[nz] + self.b.value
+        return x @ w + self.b.value
 
     def backward(self, dout, input_grad=True):
         self.w.grad = self._x.T @ dout

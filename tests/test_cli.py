@@ -191,6 +191,19 @@ def test_cli_malformed_value_names_key_path(tmp_path, capsys):
     _one_line_error(capsys, "train.lr", "'abc'")
 
 
+@pytest.mark.parametrize("subset", [0, -5])
+def test_cli_train_subset_below_one_is_one_line_error(tmp_path, capsys, rng, subset):
+    """``data.train_subset: 0`` used to train on the whole split, and -5 on
+    an empty one that exited 0 and saved an untrained net."""
+    cfg = Path(_mnist_config(tmp_path, rng, 100, 10, "train: {baseline_epochs: 1}\n"))
+    doc = yaml.safe_load(cfg.read_text())
+    doc["data"]["train_subset"] = subset
+    cfg.write_text(yaml.safe_dump(doc))
+    assert main(["train-dense", str(cfg)]) == 1
+    _one_line_error(capsys, "data.train_subset", str(subset))
+    assert not (tmp_path / "out" / "dense.ckpt").exists()
+
+
 def _mnist_config(tmp_path, rng, n_train, n_test, extra=""):
     """A mlp3 config over random IDX files of ``n_train`` and ``n_test``
     digits, with 50 of the training digits held out for validation."""

@@ -1,6 +1,7 @@
 """Forward-pass examples, conv/pool naive-loop oracles, Param masking and
 finite-difference gradient checks for every layer kind."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -36,6 +37,64 @@ def test_fc_identity():
     v = np.arange(6, dtype=np.float64).reshape(1, 1, 2, 3)
     out = net.forward(v).logits
     assert np.array_equal(out, v.reshape(1, 6))
+
+
+def _fc_feeds(preset):
+    """(layer index, n_in, input density) of each fc layer of a preset: the
+    winner rate of the masked layer whose output reaches it, else 1."""
+    rate, out = 1.0, []
+    for i, spec in enumerate(preset.specs):
+        if spec.kind == "fc":
+            out.append((i, spec.geometry["n_in"], rate))
+        if spec.kind in ("fc", "conv2d"):
+            rate = 1.0
+        rate = preset.reference_rates.get(i, rate)
+    return out
+
+
+def _sparse_row(rng, n, nnz):
+    x = np.zeros((1, n), np.float32)
+    x[0, rng.choice(n, nnz, replace=False)] = rng.standard_normal(nnz) + 3.0
+    return x
+
+
+def test_fc_gathers_only_large_sparse_single_samples(rng):
+    """A batch-1 eval forward gathers the weight rows of its nonzero inputs
+    only on lenet4's and convnet5's fc1, at their reference rates and at a
+    quarter of the inputs nonzero, never with more; it then skips a NaN
+    weight in a row whose input is zero, which the dense product spreads to
+    its output column.  Its output is within 1e-5 x (1 + max |out|) of the
+    dense one, and an all-zero input gives the bias.  Train forwards,
+    batches of two and every other preset fc keep the bytes of
+    ``x @ w + b``."""
+    gathered = set()
+    for name in ("mlp3", "lenet4", "convnet5", "leaky6"):
+        preset = get_preset(name)
+        net = preset.build()
+        for i, n_in, rate in _fc_feeds(preset):
+            layer = net.layers[i]
+            w, b = layer.w.value, rng.standard_normal(len(layer.b.value)).astype(np.float32)
+            layer.b.value = b
+            for label, count in (("reference", min(n_in - 1, math.ceil(rate * n_in))),
+                                 ("quarter", n_in // 4), ("over", n_in // 4 + 1)):
+                x = _sparse_row(rng, n_in, count)
+                dense = x @ w + b
+                assert np.abs(layer.forward(x) - dense).max() <= 1e-5 * (1 + np.abs(dense).max())
+                row = int(np.flatnonzero(x[0] == 0)[0])
+                w[row, 0] = np.nan
+                out = layer.forward(x)
+                if np.isfinite(out).all():
+                    gathered.add((name, i, label))
+                else:
+                    assert out.tobytes() == (x @ w + b).tobytes(), (name, i, label)
+                pair = np.vstack([x, x])
+                for xs, train in ((x, True), (pair, False), (pair, True)):
+                    assert layer.forward(xs, train=train).tobytes() == (xs @ w + b).tobytes()
+                w[row, 0] = 0.0
+            if (name, i, "quarter") in gathered:
+                assert np.array_equal(layer.forward(np.zeros((1, n_in), np.float32)), b[None])
+    assert gathered == {(name, 7, label) for name in ("lenet4", "convnet5")
+                        for label in ("reference", "quarter")}
 
 
 def test_leaky_relu_values():
@@ -268,6 +327,51 @@ def test_eval_conv_whole_batch_in_one_block_is_one_lowering(rng):
             blocks = _counted(mp, "_im2col")
             layer.forward(x, train=train)
         assert len(blocks) == 1, (b, train)
+
+
+def test_single_sample_im2col_matches_the_tap_path_bytewise(rng):
+    """A single sample's columns, filled in one strided copy, equal the
+    columns the tap path lowers for the same sample inside a batch of two,
+    byte for byte: f32, f64 and int64 (the MAC counter's lowering), NaN,
+    +-inf and +-0.0, batch-innermost and NCHW inputs, whole outputs and
+    output windows, into a fresh array or a buffer full of garbage."""
+    for trial, (_, c, h, w, _, k, s, p) in enumerate(_conv_geometries(rng, 80)):
+        oh, ow = (h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1
+        y0, y1 = sorted(int(v) for v in rng.integers(0, oh, size=2))
+        x0, x1 = sorted(int(v) for v in rng.integers(0, ow, size=2))
+        windows = [(range(oh), range(ow)), (range(y0, y1 + 1), range(x0, x1 + 1))]
+        for dtype in (np.float32, np.float64, np.int64):
+            if dtype is np.int64:
+                x = rng.integers(-3, 4, size=(2, c, h, w)).astype(np.int64)
+            else:
+                x = _special(rng, (2, c, h, w), dtype)
+            for x4 in (x.transpose(1, 2, 3, 0), np.ascontiguousarray(x.transpose(1, 2, 3, 0))):
+                for ys, xs in windows:
+                    pair = L._im2col(x4, k, s, p, ys, xs).reshape(c * k * k, -1, 2)
+                    buf = np.full(c * k * k * len(ys) * len(xs), 7, dtype)
+                    for one in (L._im2col(x4[..., :1], k, s, p, ys, xs),
+                                L._im2col(x4[..., :1], k, s, p, ys, xs, buf)):
+                        assert one.shape == pair.shape[:2], (trial, dtype)
+                        assert one.tobytes() == np.ascontiguousarray(pair[..., 0]).tobytes(), (
+                            trial, dtype, ys, xs)
+
+
+def test_single_sample_conv_forward_matches_padded_im2col_bytewise(rng):
+    """A batch-1 conv forward, eval and train, NCHW and batch-innermost
+    input, gives the padded-im2col oracle's bytes at f32 and f64 with NaN,
+    +-inf and +-0.0 on the random geometries."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        for trial, (_, c, h, w, cout, k, s, p) in enumerate(_conv_geometries(rng, 120)):
+            for dtype in (np.float32, np.float64):
+                layer = L.build_layer(L.conv2d(c, cout, k, s, p), np.random.default_rng(trial),
+                                      dtype)
+                layer.b.value = rng.standard_normal(cout).astype(dtype)
+                x = _special(rng, (1, c, h, w), dtype)
+                ref = conv2d_padded_im2col(x, layer.w.value, layer.b.value, s, p)
+                inner = np.ascontiguousarray(x.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
+                for xin in (x, inner):
+                    for train in (False, True):
+                        assert _same_bits(layer.forward(xin, train=train), ref), (trial, dtype)
 
 
 def test_eval_conv_peak_memory_is_bounded(rng):

@@ -387,3 +387,44 @@ def test_spec_missing_geometry_is_config_error(kind, geometry, missing):
         L.LayerSpec(kind, geometry)
     with pytest.raises(ConfigError, match="must be a mapping"):
         L.LayerSpec(kind, None)
+
+
+def _f64_forward(net, x, act_masks):
+    """Logits of ``net``'s params and specs in float64, applying the given
+    winner masks instead of selecting its own: float64 may put another
+    element on a winner cut than float32 does."""
+    net64 = Network(net.specs, net.input_shape, dtype=np.float64, init=False)
+    for p, q in zip(net.params(), net64.params(), strict=True):
+        q.value[...] = p.value
+    y, branches = net64._as_input(x), {}
+    for i, t in enumerate(act_masks):
+        y = net64._layer_forward(i, y, branches)
+        if t is not None:
+            y = y * t
+    return y
+
+
+@pytest.mark.parametrize("name", ["lenet4", "convnet5", "leaky6"])
+def test_batch1_logits_match_batched_and_float64(rng, name):
+    """A preset pruned to its targets with exact masks at its reference
+    rates: each batch-1 logit row is within 1e-5 x (1 + max |logit|) of
+    the batched row, with the same argmax, and within 1e-4 x (1 + max
+    |logit|) of a float64 forward, as perfbench's batch1_vs_batched and
+    f64_reference checks require.  lenet4's and convnet5's fc1 see a
+    quarter or fewer nonzero inputs, so their batch-1 product gathers."""
+    preset = get_preset(name)
+    net = preset.build(seed=1)
+    prune_to_targets(net, preset.weight_targets, ramp=1.0)
+    net.set_mask_cfg(WinnerRateConfig(per_layer_rate=dict(preset.reference_rates)))
+    x = rng.random((64,) + net.input_shape).astype(np.float32)
+    batched = net.forward(x).logits
+    tol = 1e-5 * (1.0 + np.abs(batched).max())
+    for r in range(len(x)):
+        res = net.forward(x[r:r + 1])
+        assert np.abs(res.logits[0] - batched[r]).max() <= tol, r
+        assert res.logits[0].argmax() == batched[r].argmax(), r
+        if name != "leaky6":  # fc1 is layer 7, after a flatten
+            assert 4 * np.count_nonzero(res.post_mask[6]) <= net.specs[7].geometry["n_in"], r
+        if r < 4:
+            ref = _f64_forward(net, x[r:r + 1], res.act_masks)
+            assert np.abs(res.logits - ref).max() <= 1e-4 * (1.0 + np.abs(ref).max()), r
