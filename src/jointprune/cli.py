@@ -19,18 +19,22 @@ from .config import load_experiment
 from .errors import ConfigError, JointPruneError
 from .sparsity import PREDICTED_THRESHOLD
 
+MODES = ["dense", "jp"]  # the models a command can read: see _load_net
+
 
 def _out(exp, name):
     os.makedirs(exp.out_dir, exist_ok=True)
     return os.path.join(exp.out_dir, name)
 
 
-def _load_net(exp, path, masked=False):
-    """The network of the checkpoint at ``path``.  With ``masked``, one whose
-    checkpoint holds no winner rates gets the experiment's."""
+def _load_net(exp, args):
+    """The network of ``--checkpoint``, else of ``<outputs>/<mode>.ckpt``,
+    for ``args.mode``, the model the command reads: ``dense`` runs with no
+    activation masks, ``jp`` with the checkpoint's winner rates, or the
+    experiment's when the checkpoint has none."""
+    path = args.checkpoint or _out(exp, f"{args.mode}.ckpt")
     net = ckpt_io.network_from_checkpoint(ckpt_io.load_checkpoint(path))
-    if masked and net.mask_cfg is None:
-        net.set_mask_cfg(exp.mask_cfg)
+    net.set_mask_cfg(None if args.mode == "dense" else net.mask_cfg or exp.mask_cfg)
     return net
 
 
@@ -51,7 +55,7 @@ def cmd_train_dense(exp, args):
 
 
 def cmd_sweep_sensitivity(exp, args):
-    net = _load_net(exp, args.checkpoint or _out(exp, "dense.ckpt"))
+    net = _load_net(exp, args)
     _, val, _ = exp.load_data()
     curve = pipeline.sensitivity_sweep(net, val, exp.rate_grid, exp.preset.mask_layers)
     rows = [
@@ -68,7 +72,7 @@ def cmd_sweep_sensitivity(exp, args):
 
 
 def cmd_prune(exp, args):
-    net = _load_net(exp, args.checkpoint or _out(exp, "dense.ckpt"))
+    net = _load_net(exp, args)
     train, val, test = exp.load_data()
     history = pipeline.joint_finetune(net, exp.mask_cfg, exp.train_cfg, train, val)
     acc, stats = pipeline.evaluate(net, test, mode="jp")
@@ -84,10 +88,9 @@ def cmd_prune(exp, args):
 
 
 def cmd_eval(exp, args):
-    net = _load_net(exp, args.checkpoint or _out(exp, "jp.ckpt"), masked=args.mode == "jp")
-    _, _, test = exp.load_data()
-    mode = "jp" if args.mode == "jp" else "dense"  # wp: a weight-pruned net, no activation masks
-    acc, stats = pipeline.evaluate(net, test, mode=mode, stat_layers=exp.preset.mask_layers)
+    net = _load_net(exp, args)
+    test = exp.load_test()
+    acc, stats = pipeline.evaluate(net, test, mode=args.mode, stat_layers=exp.preset.mask_layers)
     metrics.emit_report(stats.table(), _out(exp, f"sparsity_{args.mode}.csv"))
     print(f"eval: mode={args.mode} test_acc={acc:.4f} "
           f"acti_percent={stats.activation_percent:.2f}")
@@ -97,9 +100,8 @@ def cmd_eval(exp, args):
 def cmd_report_macs(exp, args):
     if args.batch < 1:
         raise ConfigError(f"--batch must be >= 1, got {args.batch}")
-    net = _load_net(exp, args.checkpoint or _out(exp, "jp.ckpt"), masked=args.masked)
-    _, _, test = exp.load_data()
-    batch = test.images[: args.batch]
+    net = _load_net(exp, args)
+    batch = exp.load_test().images[: args.batch]
     report = metrics.count_effective_macs(net, batch)
     path = _out(exp, "macs.csv")
     metrics.emit_report(report.table(), path)
@@ -120,8 +122,8 @@ def cmd_bench_fc(exp, args):
 
 
 def cmd_threshold_prediction_study(exp, args):
-    net = _load_net(exp, args.checkpoint or _out(exp, "jp.ckpt"), masked=True)
-    _, _, test = exp.load_data()
+    net = _load_net(exp, args)
+    test = exp.load_test()
     acc_exact, _ = pipeline.evaluate(net, test, mode="jp")
     rows = []
     for eps in args.eps_grid:
@@ -147,32 +149,30 @@ def build_parser():
     parser = _Parser(prog="jointprune", description="joint weight/activation pruning toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn):
+    def add(name, fn, mode=None):
+        """Subcommand ``name``; ``mode`` names the model it reads (see
+        ``_load_net``) and is the default of a ``--mode`` added to it."""
         p = sub.add_parser(name)
         p.add_argument("config", help="experiment config YAML")
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=fn, mode=mode)
+        if mode:
+            p.add_argument("--checkpoint")
         return p
 
     add("train-dense", cmd_train_dense)
-    p = add("sweep-sensitivity", cmd_sweep_sensitivity)
-    p.add_argument("--checkpoint")
-    p = add("prune", cmd_prune)
-    p.add_argument("--checkpoint")
-    p = add("eval", cmd_eval)
-    p.add_argument("--checkpoint")
-    p.add_argument("--mode", choices=["dense", "wp", "jp"], default="jp")
-    p = add("report-macs", cmd_report_macs)
-    p.add_argument("--checkpoint")
+    add("sweep-sensitivity", cmd_sweep_sensitivity, mode="dense")
+    add("prune", cmd_prune, mode="dense")
+    p = add("eval", cmd_eval, mode="jp")
+    p.add_argument("--mode", choices=MODES, help="model to read (default: %(default)s)")
+    p = add("report-macs", cmd_report_macs, mode="jp")
+    p.add_argument("--mode", choices=MODES, help="model to read (default: %(default)s)")
     p.add_argument("--batch", type=int, default=256)
-    p.add_argument("--masked", action="store_true",
-                   help="attach the config's winner rates if the checkpoint has none")
     p = add("bench-fc", cmd_bench_fc)
     p.add_argument("--n-in", type=int, default=4096)
     p.add_argument("--n-out", type=int, default=4096)
     p.add_argument("--rate", type=float, default=0.10)
     p.add_argument("--trials", type=int, default=100)
-    p = add("predict-threshold-study", cmd_threshold_prediction_study)
-    p.add_argument("--checkpoint")
+    p = add("predict-threshold-study", cmd_threshold_prediction_study, mode="jp")
     p.add_argument("--eps-grid", type=float, nargs="+",
                    default=[1.0, 0.5, 0.2, 0.1, 0.05])
     return parser

@@ -38,25 +38,28 @@ class Experiment:
         if self.train_subset is not None and self.train_subset < 1:
             raise ConfigError(f"data.train_subset must be >= 1, got {self.train_subset}")
 
+    def _read(self, name):
+        """The ``name`` split (``train`` or ``test``) of the preset's dataset."""
+        if self.preset.dataset == "mnist":
+            return datasets.load_mnist(*datasets.mnist_paths(self.data_dir)[name], role=name)
+        return datasets.load_cifar10(datasets.cifar10_paths(self.data_dir)[name], role=name)
+
+    def _crop(self, split):
+        crop = self.preset.crop
+        return datasets.center_crop(split, crop) if crop else split
+
+    def load_test(self):
+        """The test split prepared for the model, read from the test files
+        alone."""
+        return self._crop(self._read("test"))
+
     def load_data(self):
         """Returns (train, val, test) splits prepared for the model."""
-        preset = self.preset
-        if preset.dataset == "mnist":
-            paths = datasets.mnist_paths(self.data_dir)
-            full = datasets.load_mnist(*paths["train"], role="train")
-            test = datasets.load_mnist(*paths["test"], role="test")
-        else:
-            paths = datasets.cifar10_paths(self.data_dir)
-            full = datasets.load_cifar10(paths["train"], role="train")
-            test = datasets.load_cifar10(paths["test"], role="test")
-        train, val = datasets.train_val_split(full, self.val_size, self.train_cfg.seed)
+        train, val = datasets.train_val_split(self._read("train"), self.val_size,
+                                              self.train_cfg.seed)
         if self.train_subset is not None:
             train = train.subset(np.arange(min(self.train_subset, len(train))))
-        if preset.crop:
-            train = datasets.center_crop(train, preset.crop)
-            val = datasets.center_crop(val, preset.crop)
-            test = datasets.center_crop(test, preset.crop)
-        return train, val, test
+        return self._crop(train), self._crop(val), self.load_test()
 
 
 # Every accepted YAML key, as a dotted path, and the (dataclass, field) its

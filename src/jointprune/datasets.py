@@ -84,11 +84,14 @@ def load_cifar10(batch_paths, role="train"):
         raw = np.fromfile(path, dtype=np.uint8).reshape(-1, CIFAR_RECORD_BYTES)
         labels.append(raw[:, 0].astype(np.int64))
         chunks.append(raw[:, 1:].reshape(-1, 3, 32, 32))
-    images = np.concatenate(chunks).astype(np.float32) / 255.0
     labels = np.concatenate(labels)
     if labels.max() > 9:
         raise DataFormatError("CIFAR-10 label byte out of range 0..9")
-    images = (images - CIFAR10_MEAN[:, None, None]) / CIFAR10_STD[:, None, None]
+    # (x / 255 - mean) / std in place: the same float32 steps, on one array
+    images = np.concatenate(chunks).astype(np.float32)
+    images /= 255.0
+    images -= CIFAR10_MEAN[:, None, None]
+    images /= CIFAR10_STD[:, None, None]
     return DatasetSplit(images, labels, role)
 
 

@@ -84,12 +84,8 @@ class Adadelta(Optimizer):
 OPTIMIZERS = {"sgd": SGD, "adadelta": Adadelta}
 
 
-def check_optimizer_name(name):
-    """Raise ``ConfigError`` unless ``name`` is a key of ``OPTIMIZERS``."""
+def make_optimizer(name, params, **hyper):
+    """Optimizer ``name``, a key of ``OPTIMIZERS`` (else ``ConfigError``)."""
     if not isinstance(name, str) or name not in OPTIMIZERS:
         raise ConfigError(f"unknown optimizer {name!r}; choose from {sorted(OPTIMIZERS)}")
-
-
-def make_optimizer(name, params, **hyper):
-    check_optimizer_name(name)
     return OPTIMIZERS[name](params, **hyper)

@@ -15,7 +15,7 @@ import numpy as np
 from .errors import ConfigError, DivergenceError
 from .metrics import SparsityStats, nonzero_count
 from .network import loss_and_backward
-from .optim import check_optimizer_name, make_optimizer
+from .optim import make_optimizer
 from .sparsity import WinnerRateConfig, prune_weights_by_magnitude, threshold_for_target_density
 
 log = logging.getLogger(__name__)
@@ -42,7 +42,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_optimizer_name(self.optimizer)
+        # the optimizers check their own settings: build each one training uses
+        for name, lr in ((self.optimizer, self.lr), ("adadelta", self.adadelta_lr)):
+            _make_opt(name, self, [], lr)
         if not 0.01 <= self.lr_scale <= 1.0:
             raise ConfigError(f"lr_scale must be in [0.01, 1], got {self.lr_scale}")
         for name in ("baseline_epochs", "warmup_epochs", "finetune_epochs"):
@@ -52,6 +54,10 @@ class TrainConfig:
             raise ConfigError("batch_size must be >= 1")
         if self.base_dropout is not None and not 0.0 <= self.base_dropout < 1.0:
             raise ConfigError(f"base_dropout must be in [0,1), got {self.base_dropout}")
+        for layer, density in (self.weight_target_density or {}).items():
+            if not 0.0 < density <= 1.0:
+                raise ConfigError(f"weight target of layer {layer} must be in (0,1], "
+                                  f"got {density}")
 
 
 @dataclass
@@ -268,9 +274,16 @@ def joint_finetune(net, mask_cfg, cfg, train_split, val_split):
     good state is restored: the best post-ramp snapshot, or else the state
     on entry.  Returns the history; the network ends at the best validation
     accuracy seen after the ramp completed.  Raises ``DivergenceError``
-    instead when the state it would end on holds non-finite params.
+    instead when the state it would end on holds non-finite params.  A
+    weight target keyed by a layer that holds no weights raises
+    ``ConfigError`` before the network is touched.
     """
     targets = cfg.weight_target_density or {}
+    weight_layers = {i for i, _ in net.weight_params()}
+    for layer in targets:
+        if layer not in weight_layers:
+            raise ConfigError(f"weight target of layer {layer}: not a weight layer, "
+                              f"choose from {sorted(weight_layers)}")
     net.set_mask_cfg(mask_cfg)
     if cfg.base_dropout is not None:
         reconcile_dropout(net, mask_cfg, cfg.base_dropout)

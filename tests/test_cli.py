@@ -10,6 +10,7 @@ import yaml
 from jointprune.checkpoint import checkpoint_from_network, load_checkpoint, save_checkpoint
 from jointprune.cli import main
 from jointprune.config import load_experiment
+from jointprune.datasets import mnist_paths
 from jointprune.metrics import read_report
 from jointprune.models import get_preset
 
@@ -106,7 +107,7 @@ def test_report_macs(workspace, capsys):
     for r in rows:
         assert float(r[header.index("weight_density")]) == 1.0  # dense model
     # pruned model: fewer effective MACs than its dense count
-    assert main(["report-macs", str(cfg), "--masked", "--batch", "64"]) == 0
+    assert main(["report-macs", str(cfg), "--mode", "jp", "--batch", "64"]) == 0
     capsys.readouterr()
     _, pruned = read_report(out / "macs.csv")
     total = pruned[-1]
@@ -226,9 +227,9 @@ def test_cli_unknown_optimizer_is_one_line_error(tmp_path, capsys, rng):
 
 
 def test_cli_masking_commands_attach_the_config_rates(tmp_path, capsys, rng):
-    """A dense checkpoint holds no winner rates: eval --mode jp, report-macs
-    --masked and predict-threshold-study attach the experiment's, and eval
-    --mode dense and an unmasked report-macs run without them."""
+    """A dense checkpoint holds no winner rates: eval and report-macs in
+    --mode jp, and predict-threshold-study, attach the experiment's, and
+    --mode dense runs without them."""
     cfg = _mnist_config(tmp_path, rng, 300, 100,
                         "seed: 0\ntrain: {baseline_epochs: 1, batch_size: 50}\n")
     out = tmp_path / "out"
@@ -244,17 +245,86 @@ def test_cli_masking_commands_attach_the_config_rates(tmp_path, capsys, rng):
     assert frac["dense"]["2"] > frac["jp"]["2"]
 
     mac_percent = {}
-    for masked in (False, True):
-        flags = ["--masked"] if masked else []
-        assert main(["report-macs", cfg, "--checkpoint", dense, "--batch", "64", *flags]) == 0
+    for mode in ("dense", "jp"):
+        assert main(["report-macs", cfg, "--checkpoint", dense, "--batch", "64",
+                     "--mode", mode]) == 0
         header, rows = read_report(out / "macs.csv")
-        mac_percent[masked] = float(rows[-1][header.index("mac_percent")])
-    assert mac_percent[True] < mac_percent[False]
+        mac_percent[mode] = float(rows[-1][header.index("mac_percent")])
+    assert mac_percent["jp"] < mac_percent["dense"]
 
     assert main(["predict-threshold-study", cfg, "--checkpoint", dense,
                  "--eps-grid", "1.0", "0.5"]) == 0
     assert len(read_report(out / "threshold_prediction.csv")[1]) == 2
     assert capsys.readouterr().err == ""
+
+
+def _test_acc(line):
+    return line.split("test_acc=")[1].split()[0]
+
+
+def test_cli_eval_dense_reads_the_dense_checkpoint(tmp_path, capsys, rng):
+    """With no --checkpoint, eval --mode dense reads dense.ckpt (it used to
+    read jp.ckpt with its masks off): after train-dense alone it prints the
+    test accuracy train-dense printed."""
+    cfg = _mnist_config(tmp_path, rng, 300, 100,
+                        "seed: 0\ntrain: {baseline_epochs: 1, batch_size: 50}\n")
+    assert main(["train-dense", cfg]) == 0
+    trained = _test_acc(capsys.readouterr().out)
+    assert main(["eval", cfg, "--mode", "dense"]) == 0
+    assert _test_acc(capsys.readouterr().out) == trained
+    assert not (tmp_path / "out" / "jp.ckpt").exists()
+
+
+def test_cli_test_only_commands_read_only_the_test_files(tmp_path, capsys, rng):
+    """eval, report-macs and predict-threshold-study run with the training
+    files gone; --mode dense runs a jp checkpoint with no activation masks."""
+    cfg = _mnist_config(tmp_path, rng, 300, 100,
+                        "seed: 0\ntrain: {baseline_epochs: 1, batch_size: 50}\n"
+                        "prune: {warmup_epochs: 1, finetune_epochs: 1}\n")
+    out = tmp_path / "out"
+    assert main(["train-dense", cfg]) == 0
+    assert main(["prune", cfg]) == 0
+    for path in mnist_paths(tmp_path / "data")["train"]:
+        Path(path).unlink()
+    jp = str(out / "jp.ckpt")
+
+    frac, mac_percent = {}, {}
+    for mode in ("dense", "jp"):
+        assert main(["eval", cfg, "--checkpoint", jp, "--mode", mode]) == 0
+        frac[mode] = {r[0]: float(r[2]) for r in read_report(out / f"sparsity_{mode}.csv")[1]}
+        assert main(["report-macs", cfg, "--mode", mode, "--batch", "64"]) == 0
+        header, rows = read_report(out / "macs.csv")
+        mac_percent[mode] = float(rows[-1][header.index("mac_percent")])
+    assert frac["jp"]["2"] <= 0.12 < frac["dense"]["2"]
+    assert mac_percent["jp"] < mac_percent["dense"]
+    assert main(["predict-threshold-study", cfg, "--eps-grid", "1.0"]) == 0
+    assert capsys.readouterr().err == ""
+    assert main(["train-dense", cfg]) == 1  # the training files are gone
+    _one_line_error(capsys, "train-images-idx3-ubyte")
+
+
+@pytest.mark.parametrize("command, extra, needle", [
+    ("prune", "prune: {weight_targets: {2: 0.5}}\n", "weight target of layer 2: not a weight"),
+    ("prune", "prune: {weight_targets: {1: 1.5}}\n", "weight target of layer 1 must be in"),
+    ("prune", "prune: {weight_targets: {1: 0.0}}\n", "weight target of layer 1 must be in"),
+    ("train-dense", "train: {optimizer: sgd, rho: 1.5}\n", "rho must be in (0,1), got 1.5"),
+    ("train-dense", "train: {optimizer: sgd, eps: -1}\n", "eps must be > 0, got -1"),
+], ids=["target-on-relu", "target-above-one", "target-zero", "sgd-rho", "sgd-eps"])
+def test_cli_bad_training_value_fails_before_training(tmp_path, capsys, rng, command, extra,
+                                                      needle):
+    """A target off the weight layers or above 1 used to keep the layer
+    dense and exit 0, a zero target failed only at the first prune, and an
+    sgd run's Adadelta settings only in prune's finetune phase.  Each is now
+    a one-line error before the first epoch."""
+    cfg = _mnist_config(tmp_path, rng, 100, 10, "seed: 0\n" + extra)
+    out = tmp_path / "out"
+    out.mkdir()
+    save_checkpoint(checkpoint_from_network(get_preset("mlp3").build()), out / "dense.ckpt")
+    dense = (out / "dense.ckpt").read_bytes()
+    assert main([command, cfg]) == 1
+    _one_line_error(capsys, needle)
+    assert [p.name for p in out.iterdir()] == ["dense.ckpt"]
+    assert (out / "dense.ckpt").read_bytes() == dense
 
 
 def test_cli_sweep_prune_and_bench_fc_on_random_digits(tmp_path, capsys, rng):
@@ -345,7 +415,9 @@ def test_cli_eval_on_checkpoint_with_bad_layer_is_one_line_error(tmp_path, capsy
     (["eval", "x.yaml", "--mode", "bogus"], ["argument --mode: invalid choice", "'bogus'"]),
     (["bogus", "x.yaml"], ["argument command: invalid choice", "'bogus'"]),
     (["eval"], ["the following arguments are required: config"]),
-], ids=["batch-abc", "mode-bogus", "unknown-command", "no-config"])
+    (["eval", "x.yaml", "--mode", "wp"], ["argument --mode: invalid choice", "'wp'"]),
+    (["report-macs", "x.yaml", "--masked"], ["unrecognized arguments: --masked"]),
+], ids=["batch-abc", "mode-bogus", "unknown-command", "no-config", "mode-wp", "masked"])
 def test_cli_usage_error_is_one_line_error(capsys, argv, needles):
     assert main(argv) == 1
     _one_line_error(capsys, *needles)

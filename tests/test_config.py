@@ -10,9 +10,12 @@ import yaml
 
 from jointprune.cli import main
 from jointprune.config import KEYS, Experiment, load_experiment
+from jointprune.datasets import cifar10_paths
 from jointprune.errors import ConfigError
 from jointprune.pipeline import TrainConfig
 from jointprune.sparsity import WinnerRateConfig
+
+from datafiles import write_cifar10
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -220,6 +223,22 @@ def test_readme_lists_the_key_table():
     assert {key: (owner, name) for key, owner, name in rows} == {
         key: (owner.__name__, name) for key, (owner, name) in KEYS.items()}
     assert len(rows) == len(KEYS)
+
+
+def test_load_test_reads_and_crops_only_the_test_batch(tmp_path, rng):
+    """load_test gives load_data's test split, cropped for convnet5, and
+    needs no training batch."""
+    data = tmp_path / "data"
+    data.mkdir()
+    write_cifar10(data, 10, 7, rng)
+    exp = load_experiment(_write(tmp_path, f"model: convnet5\ndata: {{dir: {data}, val_size: 5}}\n"))
+    expect = exp.load_data()[2]
+    for path in cifar10_paths(data)["train"]:
+        Path(path).unlink()
+    test = exp.load_test()
+    assert test.images.shape == (7, 3, 24, 24) and test.role == "test"
+    assert test.images.tobytes() == expect.images.tobytes()
+    assert np.array_equal(test.labels, expect.labels)
 
 
 def test_load_data_subset_and_split(tmp_path, data_dir):

@@ -2,6 +2,7 @@
 reconciliation, prune ramp and joint finetuning on small synthetic data."""
 
 import logging
+import re
 import tracemalloc
 
 import numpy as np
@@ -323,6 +324,38 @@ def test_train_config_validation():
         TrainConfig(finetune_epochs=-1)
     with pytest.raises(ConfigError):
         TrainConfig(base_dropout=1.0)
+
+
+@pytest.mark.parametrize("kw, needle", [
+    ({"weight_target_density": {1: 1.5}}, "weight target of layer 1 must be in (0,1], got 1.5"),
+    ({"weight_target_density": {3: 0.0}}, "weight target of layer 3 must be in (0,1], got 0.0"),
+    ({"optimizer": "sgd", "rho": 1.5}, "rho must be in (0,1), got 1.5"),
+    ({"optimizer": "sgd", "eps": -1.0}, "eps must be > 0, got -1.0"),
+    ({"optimizer": "sgd", "lr": 0.0}, "lr must be > 0, got 0.0"),
+], ids=["target-above-one", "target-zero", "sgd-rho", "sgd-eps", "sgd-lr"])
+def test_train_config_rejects_values_training_would_fail_on(kw, needle):
+    """Checked when the config is built, by the optimizers' own checks for
+    every optimizer training builds (an sgd run finetunes with Adadelta)."""
+    with pytest.raises(ConfigError, match=re.escape(needle)):
+        TrainConfig(**kw)
+
+
+@pytest.mark.parametrize("layer", [2, 9])
+def test_joint_finetune_rejects_a_target_off_the_weight_layers(layer):
+    """A target for a layer without weights (2 is a ReLU, 9 is past the
+    end) used to be skipped: the run finetuned and kept every layer dense.
+    It raises before the network is touched."""
+    net, _ = _trained()
+    entry = [p.value.copy() for p in net.params()]
+    cfg = TrainConfig(optimizer="sgd", lr=0.3, batch_size=20, warmup_epochs=1,
+                      finetune_epochs=2, weight_target_density={1: 0.5, layer: 0.5}, seed=0)
+    with pytest.raises(ConfigError, match=re.escape(
+            f"weight target of layer {layer}: not a weight layer, choose from [1, 3]")):
+        joint_finetune(net, WinnerRateConfig(per_layer_rate={2: 0.5}),
+                       cfg, _blobs(seed=1), _blobs(seed=2))
+    assert net.mask_cfg is None
+    for p, value in zip(net.params(), entry, strict=True):
+        assert p.value.tobytes() == value.tobytes() and p.mask is None, p.name
 
 
 def test_finetune_divergence_in_warmup_restores_entry_state():
