@@ -66,9 +66,9 @@ def _read_idx(path, magic):
 
 def load_mnist(image_path, label_path, role="train"):
     """Load one MNIST split; pixels scaled to [0,1], shape (N, 1, 28, 28)."""
-    images = _read_idx(image_path, MNIST_IMAGE_MAGIC)
+    images = _read_idx(image_path, MNIST_IMAGE_MAGIC)[:, None].astype(np.float32)
+    images /= 255.0  # in place: the same float32 step, on one array
     labels = _read_idx(label_path, MNIST_LABEL_MAGIC).astype(np.int64)
-    images = (images.astype(np.float32) / 255.0)[:, None, :, :]
     return DatasetSplit(images, labels, role)
 
 

@@ -44,6 +44,7 @@ unchanged).
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 
@@ -51,18 +52,20 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, ShapeError
+from .fields import cast_field
 
 
-# the geometry keys each kind reads without a default
+# the geometry keys each kind reads without a default, each with the least
+# value of a count or size, which must be an int (None: not a size)
 _REQUIRED_GEOMETRY = {
-    "fc": ("n_in", "n_out"),
-    "conv2d": ("in_ch", "out_ch", "kernel", "stride", "pad"),
-    "maxpool": ("window", "stride", "pad"),
-    "avgpool": ("window", "stride", "pad"),
-    "leaky_relu": ("slope",),
-    "dropout": ("rate",),
-    "skip_save": ("tag",),
-    "skip_add": ("tag",),
+    "fc": {"n_in": 1, "n_out": 1},
+    "conv2d": {"in_ch": 1, "out_ch": 1, "kernel": 1, "stride": 1, "pad": 0},
+    "maxpool": {"window": 1, "stride": 1, "pad": 0},
+    "avgpool": {"window": 1, "stride": 1, "pad": 0},
+    "leaky_relu": {"slope": None},
+    "dropout": {"rate": None},
+    "skip_save": {"tag": None},
+    "skip_add": {"tag": None},
 }
 
 
@@ -78,9 +81,12 @@ class LayerSpec:
             raise ConfigError(f"unknown layer kind {self.kind!r}")
         if not isinstance(self.geometry, dict):
             raise ConfigError(f"{self.kind} geometry must be a mapping, got {self.geometry!r}")
-        missing = [k for k in _REQUIRED_GEOMETRY.get(self.kind, ()) if k not in self.geometry]
+        missing = [k for k in _REQUIRED_GEOMETRY.get(self.kind, {}) if k not in self.geometry]
         if missing:
             raise ConfigError(f"{self.kind} layer geometry lacks {', '.join(missing)}")
+        for key, least in _REQUIRED_GEOMETRY.get(self.kind, {}).items():
+            if least is not None:
+                self.geometry[key] = self._size(key, least)
         if self.kind == "leaky_relu":
             slope = self.geometry["slope"]
             if not 0.0 < slope < 1.0:
@@ -89,6 +95,14 @@ class LayerSpec:
             rate = self.geometry["rate"]
             if not 0.0 <= rate < 1.0:
                 raise ConfigError(f"dropout rate must be in [0,1), got {rate}")
+
+    def _size(self, key, least):
+        """Geometry value ``key`` as an int of at least ``least``."""
+        value = self.geometry[key]
+        with contextlib.suppress(TypeError, ValueError, AttributeError):
+            if (size := cast_field(int, value)) >= least:
+                return size
+        raise ConfigError(f"{self.kind} {key} must be an int >= {least}, got {value!r}")
 
 
 def fc(n_in, n_out):

@@ -19,8 +19,8 @@ import numpy as np
 
 from .checkpoint import _replacing
 from .errors import ConfigError, JointPruneError
-from .layers import _im2col
-from .sparsity import select_winners_batch
+from .layers import _im2col, build_layer, fc
+from .sparsity import WinnerRateConfig
 
 try:
     from threadpoolctl import threadpool_limits
@@ -212,46 +212,34 @@ def _median_times(fn, trials, warmup):
 
 
 def bench_condensed_fc(n_in, n_out, rate, trials=100, warmup=10, seed=0):
-    """Dense matvec vs winner selection + gathered-row condensed matvec.
-
-    Batch size 1, single thread, median of ``trials`` runs after warm-up.
-    The winners are the library's exact selection, and the timed select
-    takes their indices too.  Functional equivalence of the two paths is
-    asserted before timing.
+    """Batch-1 eval ``Dense.forward`` of an ``n_in`` x ``n_out`` layer on a
+    dense sample, against winner selection (``WinnerRateConfig.mask``, then
+    ``x * t``, as ``Network.forward`` masks) plus that forward on the masked
+    sample.  Single thread, median of ``trials`` runs after warm-up; the
+    masked forward is checked against ``x @ w + b`` before timing.
     """
     if trials < 1:
         raise ConfigError("trials must be >= 1")
-    if n_in < 1 or n_out < 1:
-        raise ConfigError(f"fc layer must be at least 1x1, got {n_in}x{n_out}")
-    if not 0.0 < rate <= 1.0:
-        raise ConfigError(f"winner rate must be in (0,1], got {rate}")
+    cfg = WinnerRateConfig(per_layer_rate={0: rate})
     rng = np.random.default_rng(seed)
-    w = rng.standard_normal((n_in, n_out)).astype(np.float32)
-    a = rng.standard_normal(n_in).astype(np.float32)
+    layer = build_layer(fc(n_in, n_out), rng, np.float32)
+    a = rng.standard_normal((1, n_in)).astype(np.float32)
 
     def run_select():
-        return np.flatnonzero(select_winners_batch(a[None], rate))
+        t = cfg.mask(0, a)
+        return a if t is None else a * t
 
-    idx = run_select()
-    masked = np.zeros_like(a)
-    masked[idx] = a[idx]
-    dense_on_winners = masked @ w
-    condensed = a[idx] @ w[idx]
-    scale = max(float(np.abs(dense_on_winners).max()), 1e-6)
-    err = float(np.abs(condensed - dense_on_winners).max()) / scale
+    x = run_select()
+    want = x @ layer.w.value + layer.b.value
+    scale = max(float(np.abs(want).max()), 1e-6)
+    err = float(np.abs(layer.forward(x) - want).max()) / scale
     if err > 1e-5:
         raise JointPruneError(f"condensed fc output mismatch, rel err {err:.2e}")
 
-    def run_dense():
-        a @ w
-
-    def run_condensed():
-        a[idx] @ w[idx]
-
     with nullcontext() if threadpool_limits is None else threadpool_limits(limits=1):
-        t_orig, u1 = _median_times(run_dense, trials, warmup)
+        t_orig, u1 = _median_times(lambda: layer.forward(a), trials, warmup)
         t_sel, u2 = _median_times(run_select, trials, warmup)
-        t_mac, u3 = _median_times(run_condensed, trials, warmup)
+        t_mac, u3 = _median_times(lambda: layer.forward(x), trials, warmup)
     return SpeedupRecord(n_in, n_out, rate, time_original=t_orig, time_select=t_sel,
                          time_condensed_mac=t_mac, trials=trials, unstable=u1 or u2 or u3)
 

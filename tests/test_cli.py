@@ -392,12 +392,23 @@ def test_cli_sweep_rate_above_one_is_one_line_error(tmp_path, capsys, rng):
     assert not (tmp_path / "out" / "sensitivity.csv").exists()
 
 
+_CONV1 = {"in_ch": 1, "out_ch": 20, "kernel": 5, "stride": 1, "pad": 2}  # lenet4's layer 0
+
+
 @pytest.mark.parametrize("preset, index, entry, needle", [
     ("mlp3", 2, {"kind": "gelu", "geometry": {}}, "unknown layer kind 'gelu'"),
     ("leaky6", 1, {"kind": "leaky_relu", "geometry": {"slope": 1.5}},
      "leaky_relu slope must be in (0,1), got 1.5"),
     ("mlp3", 3, {"kind": "dropout", "geometry": {"rate": 1.0}},
      "dropout rate must be in [0,1), got 1.0"),
+    ("lenet4", 0, {"kind": "conv2d", "geometry": _CONV1 | {"stride": 0}},
+     "conv2d stride must be an int >= 1, got 0"),
+    ("lenet4", 0, {"kind": "conv2d", "geometry": _CONV1 | {"out_ch": -20}},
+     "conv2d out_ch must be an int >= 1, got -20"),
+    ("lenet4", 0, {"kind": "conv2d", "geometry": _CONV1 | {"kernel": 2.5}},
+     "conv2d kernel must be an int >= 1, got 2.5"),
+    ("lenet4", 2, {"kind": "maxpool", "geometry": {"window": 2, "stride": 0, "pad": 0}},
+     "maxpool stride must be an int >= 1, got 0"),
 ])
 def test_cli_eval_on_checkpoint_with_bad_layer_is_one_line_error(tmp_path, capsys,
                                                                  preset, index, entry, needle):
@@ -431,8 +442,8 @@ def test_cli_help_exits_0(capsys):
 
 
 @pytest.mark.parametrize("argv, needles", [
-    (["bench-fc", "--n-in", "0"], ["fc layer must be at least 1x1, got 0x4096"]),
-    (["bench-fc", "--n-out", "0"], ["got 4096x0"]),
+    (["bench-fc", "--n-in", "0"], ["fc n_in must be an int >= 1, got 0"]),
+    (["bench-fc", "--n-out", "0"], ["fc n_out must be an int >= 1, got 0"]),
     (["report-macs", "--batch", "-5"], ["--batch must be >= 1, got -5"]),
     (["report-macs", "--batch", "0"], ["--batch must be >= 1, got 0"]),
 ], ids=["n-in-0", "n-out-0", "batch-minus-5", "batch-0"])

@@ -2,6 +2,7 @@
 
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,6 +36,25 @@ def test_mnist_synthetic_round_trip(tmp_path, rng):
     assert np.array_equal(split.images[0, 0], images[0].astype(np.float32) / 255.0)
     assert np.array_equal(split.labels, labels)
     assert split.role == "test"
+
+
+def test_mnist_scales_in_one_float32_copy(tmp_path, rng):
+    """load_mnist gives the bytes of ``images.astype(np.float32) / 255.0``,
+    and its peak holds one float32 copy of the pixels beside the uint8
+    payload, where that expression holds two."""
+    n = 2000
+    images = rng.integers(0, 256, size=(n, 28, 28), dtype=np.uint8)
+    ip, lp = tmp_path / "imgs", tmp_path / "lbls"
+    write_idx_images(ip, images)
+    write_idx_labels(lp, rng.integers(0, 10, size=n))
+    tracemalloc.start()
+    try:
+        split = load_mnist(ip, lp)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert split.images.tobytes() == (images.astype(np.float32) / 255.0).tobytes()
+    assert peak < split.images.nbytes + split.labels.nbytes + images.nbytes, peak
 
 
 def test_mnist_bad_files(tmp_path, rng):

@@ -21,6 +21,7 @@ from jointprune.metrics import (
 )
 from jointprune.models import get_preset
 from jointprune.network import Network
+from jointprune.sparsity import WinnerRateConfig
 
 from oracles import (
     effective_macs_conv_bruteforce,
@@ -254,3 +255,26 @@ def test_bench_condensed_fc_small():
     for rate in (0.0, 1.5):  # outside (0, 1]: winner_count would clip it
         with pytest.raises(ConfigError, match="winner rate"):
             bench_condensed_fc(16, 16, rate, trials=1)
+
+
+def test_bench_condensed_fc_times_the_serving_fc_forward(monkeypatch):
+    """Every product bench-fc times is an eval Dense.forward of one sample:
+    the equivalence check's and the condensed runs' on the sample masked by
+    WinnerRateConfig.mask (k = 16 of 64 inputs kept), the original runs' on
+    the dense sample."""
+    seen, masks = [], []
+    forward, mask = L.Dense.forward, WinnerRateConfig.mask
+
+    def spy_forward(self, x, train=False, rng=None):
+        seen.append((x.shape[0], int(np.count_nonzero(x)), train))
+        return forward(self, x, train, rng)
+
+    def spy_mask(self, layer, acts):
+        masks.append(layer)
+        return mask(self, layer, acts)
+
+    monkeypatch.setattr(L.Dense, "forward", spy_forward)
+    monkeypatch.setattr(WinnerRateConfig, "mask", spy_mask)
+    bench_condensed_fc(64, 8, 0.25, trials=3, warmup=2)
+    assert seen == [(1, 16, False)] + [(1, 64, False)] * 5 + [(1, 16, False)] * 5
+    assert masks == [0] * 6  # the check's selection, then the 5 timed ones

@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import re
 import weakref
 
 import numpy as np
@@ -387,6 +388,22 @@ def test_spec_missing_geometry_is_config_error(kind, geometry, missing):
         L.LayerSpec(kind, geometry)
     with pytest.raises(ConfigError, match="must be a mapping"):
         L.LayerSpec(kind, None)
+
+
+@pytest.mark.parametrize("spec, key, value, least", [
+    (L.fc(4, 2), "n_in", True, 1),
+    (L.conv2d(1, 2, 3), "kernel", 2.5, 1),
+    (L.conv2d(1, 2, 3), "pad", -1, 0),
+    (L.avgpool(2), "window", "two", 1),
+    (L.maxpool(2), "stride", None, 1),
+], ids=["bool", "fraction", "pad-below-0", "string", "none"])
+def test_spec_size_must_be_an_int_in_range(spec, key, value, least):
+    with pytest.raises(ConfigError, match=re.escape(
+            f"{spec.kind} {key} must be an int >= {least}, got {value!r}")):
+        L.LayerSpec(spec.kind, {**spec.geometry, key: value})
+    # an integral float is the int it names
+    size = L.LayerSpec(spec.kind, {**spec.geometry, key: 3.0}).geometry[key]
+    assert size == 3 and type(size) is int
 
 
 def _f64_forward(net, x, act_masks):

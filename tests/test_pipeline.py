@@ -182,6 +182,10 @@ def test_choose_winner_rates(caplog):
     with caplog.at_level(logging.WARNING, logger="jointprune.pipeline"):
         assert choose_winner_rates(steep, tolerable_drop=0.06).per_layer_rate == {}
     assert "layer 2: no winner rate within drop 0.0600" in caplog.text
+    # a drop of exactly the tolerance is within it
+    edge = SensitivityCurve(baseline_accuracy=0.9,
+                            points={2: [(0.1, 0.5), (0.3, 0.25), (1.0, 0.0)]})
+    assert choose_winner_rates(edge, tolerable_drop=0.25).per_layer_rate == {2: 0.3}
 
 
 def test_adjust_dropout_values():
@@ -205,6 +209,12 @@ def test_reconcile_dropout_follows_masked_layer():
     # an unmasked predecessor keeps the base rate
     reconcile_dropout(net, WinnerRateConfig(), 0.4)
     assert net.specs[3].geometry["rate"] == 0.4
+    # so does a dropout after an unmasked weight layer, whatever masks an
+    # earlier layer
+    net = Network([L.flatten(), L.fc(8, 6), L.relu(), L.fc(6, 4), L.dropout(0.4), L.fc(4, 2)],
+                  (1, 2, 4))
+    reconcile_dropout(net, WinnerRateConfig(per_layer_rate={2: 0.25}), 0.4)
+    assert net.specs[4].geometry["rate"] == 0.4
 
 
 def test_networks_built_from_one_preset_share_no_specs():
