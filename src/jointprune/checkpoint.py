@@ -90,7 +90,12 @@ def network_from_checkpoint(ckpt):
         if not isinstance(d, dict) or not {"kind", "geometry"} <= d.keys():
             raise CheckpointError(f"checkpoint arch entry {d!r} lacks a kind or a geometry")
     specs = [LayerSpec(d["kind"], d["geometry"]) for d in ckpt.arch]
-    net = Network(specs, ckpt.input_shape, dtype=np.dtype(ckpt.dtype), init=False)
+    dtype = None
+    with contextlib.suppress(TypeError):
+        dtype = np.dtype(ckpt.dtype) if isinstance(ckpt.dtype, str) else None
+    if dtype is None or dtype.kind != "f":
+        raise CheckpointError(f"checkpoint dtype {ckpt.dtype!r} is not a float type")
+    net = Network(specs, ckpt.input_shape, dtype=dtype, init=False)
     for name, p in _param_names(net):
         if name not in ckpt.params:
             raise CheckpointError(f"checkpoint missing param {name}")

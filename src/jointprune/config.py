@@ -11,7 +11,6 @@ import os
 import typing
 from dataclasses import dataclass, field
 
-import numpy as np
 import yaml
 
 from . import datasets
@@ -56,9 +55,7 @@ class Experiment:
     def load_data(self):
         """Returns (train, val, test) splits prepared for the model."""
         train, val = datasets.train_val_split(self._read("train"), self.val_size,
-                                              self.train_cfg.seed)
-        if self.train_subset is not None:
-            train = train.subset(np.arange(min(self.train_subset, len(train))))
+                                              self.train_cfg.seed, self.train_subset)
         return self._crop(train), self._crop(val), self.load_test()
 
 

@@ -95,13 +95,13 @@ def load_cifar10(batch_paths, role="train"):
     return DatasetSplit(images, labels, role)
 
 
-def train_val_split(split, val_size, seed):
-    """Deterministic validation carve-out by seeded index permutation."""
+def train_val_split(split, val_size, seed, train_size=None):
+    """Seeded index permutation: the first ``val_size`` images validate, the
+    next ``train_size`` (None: all the rest) train; each is copied once."""
     if not 0 < val_size < len(split):
         raise DataFormatError(f"val size {val_size} invalid for split of {len(split)}")
-    perm = np.random.default_rng(seed).permutation(len(split))
-    val_idx, train_idx = perm[:val_size], perm[val_size:]
-    return split.subset(train_idx, "train"), split.subset(val_idx, "val")
+    val, rest = np.split(np.random.default_rng(seed).permutation(len(split)), [val_size])
+    return split.subset(rest[:train_size], "train"), split.subset(val, "val")
 
 
 def center_crop(split, size):

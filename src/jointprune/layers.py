@@ -55,17 +55,22 @@ from .errors import ConfigError, ShapeError
 from .fields import cast_field
 
 
-# the geometry keys each kind reads without a default, each with the least
-# value of a count or size, which must be an int (None: not a size)
-_REQUIRED_GEOMETRY = {
-    "fc": {"n_in": 1, "n_out": 1},
-    "conv2d": {"in_ch": 1, "out_ch": 1, "kernel": 1, "stride": 1, "pad": 0},
-    "maxpool": {"window": 1, "stride": 1, "pad": 0},
-    "avgpool": {"window": 1, "stride": 1, "pad": 0},
-    "leaky_relu": {"slope": None},
-    "dropout": {"rate": None},
-    "skip_save": {"tag": None},
-    "skip_add": {"tag": None},
+# every geometry key each kind reads without a default: the type
+# ``cast_field`` casts its value to, the test the cast value must pass, and
+# that test in words
+_COUNT = (int, lambda v: v >= 1, "an int >= 1")
+_PAD = (int, lambda v: v >= 0, "an int >= 0")
+_POOL = {"window": _COUNT, "stride": _COUNT, "pad": _PAD}
+_TAG = {"tag": (str, lambda v: True, "a str")}
+_GEOMETRY = {
+    "fc": {"n_in": _COUNT, "n_out": _COUNT},
+    "conv2d": {"in_ch": _COUNT, "out_ch": _COUNT, "kernel": _COUNT, "stride": _COUNT, "pad": _PAD},
+    "maxpool": _POOL,
+    "avgpool": _POOL,
+    "leaky_relu": {"slope": (float, lambda v: 0.0 < v < 1.0, "in (0,1)")},
+    "dropout": {"rate": (float, lambda v: 0.0 <= v < 1.0, "in [0,1)")},
+    "skip_save": _TAG,
+    "skip_add": _TAG,
 }
 
 
@@ -81,28 +86,16 @@ class LayerSpec:
             raise ConfigError(f"unknown layer kind {self.kind!r}")
         if not isinstance(self.geometry, dict):
             raise ConfigError(f"{self.kind} geometry must be a mapping, got {self.geometry!r}")
-        missing = [k for k in _REQUIRED_GEOMETRY.get(self.kind, {}) if k not in self.geometry]
-        if missing:
+        rules = _GEOMETRY.get(self.kind, {})
+        if missing := [k for k in rules if k not in self.geometry]:
             raise ConfigError(f"{self.kind} layer geometry lacks {', '.join(missing)}")
-        for key, least in _REQUIRED_GEOMETRY.get(self.kind, {}).items():
-            if least is not None:
-                self.geometry[key] = self._size(key, least)
-        if self.kind == "leaky_relu":
-            slope = self.geometry["slope"]
-            if not 0.0 < slope < 1.0:
-                raise ConfigError(f"leaky_relu slope must be in (0,1), got {slope}")
-        if self.kind == "dropout":
-            rate = self.geometry["rate"]
-            if not 0.0 <= rate < 1.0:
-                raise ConfigError(f"dropout rate must be in [0,1), got {rate}")
-
-    def _size(self, key, least):
-        """Geometry value ``key`` as an int of at least ``least``."""
-        value = self.geometry[key]
-        with contextlib.suppress(TypeError, ValueError, AttributeError):
-            if (size := cast_field(int, value)) >= least:
-                return size
-        raise ConfigError(f"{self.kind} {key} must be an int >= {least}, got {value!r}")
+        for key, (hint, test, words) in rules.items():
+            value = self.geometry[key]
+            with contextlib.suppress(TypeError, ValueError, AttributeError):
+                if test(cast := cast_field(hint, value)):
+                    self.geometry[key] = cast
+                    continue
+            raise ConfigError(f"{self.kind} {key} must be {words}, got {value!r}")
 
 
 def fc(n_in, n_out):

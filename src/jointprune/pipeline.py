@@ -161,7 +161,9 @@ def sensitivity_sweep(net, val_split, rates, layers):
 
     Each layer is masked alone to its exact top-k winners (all others
     untouched, whatever mask config the net carries); no parameters are
-    modified.  The drop at rate 1.0 is zero by construction.  ``points``
+    modified.  A drop is the samples lost over ``n`` in one rounding, so a
+    loss of exactly ``tolerable_drop * n`` samples is ``tolerable_drop``
+    and is kept.  The drop at rate 1.0 is zero by construction.  ``points``
     follows the order of ``layers``, each layer's points ascend by rate.
     Every batch is one :meth:`Network.sweep_logits` walk, which rejects a
     rate outside (0, 1] or an unmaskable layer before any layer runs.
@@ -178,10 +180,9 @@ def sensitivity_sweep(net, val_split, rates, layers):
         for key, logits in masked.items():
             hits[key] += _hits(logits, labels)
     n = len(val_split)
-    base = base_hits / n
-    curve = SensitivityCurve(baseline_accuracy=base)
+    curve = SensitivityCurve(baseline_accuracy=base_hits / n)
     for layer in layers:
-        curve.points[layer] = [(1.0, 0.0) if r == 1.0 else (r, base - hits[layer, r] / n)
+        curve.points[layer] = [(1.0, 0.0) if r == 1.0 else (r, (base_hits - hits[layer, r]) / n)
                                for r in rates]
     return curve
 

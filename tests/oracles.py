@@ -339,7 +339,10 @@ def adadelta_scalar_reference(grads, lr, rho, eps):
 def sensitivity_sweep_reference(net, val_split, rates, layers):
     """The sweep as ``1 + L·R`` whole masked evaluations: the dense baseline,
     then one ``evaluate`` of the net with only ``layer`` masked per layer
-    and rate.  Rates at or above 1.0 record ``(1.0, 0.0)`` unevaluated."""
+    and rate.  Rates at or above 1.0 record ``(1.0, 0.0)`` unevaluated.  A
+    drop is the count of samples lost over ``n``, each count recovered from
+    its accuracy."""
+    n = len(val_split)
     base = evaluate(net, val_split, mode="dense")[0]
     curve = SensitivityCurve(baseline_accuracy=base)
     for layer in layers:
@@ -350,6 +353,6 @@ def sensitivity_sweep_reference(net, val_split, rates, layers):
                 continue
             with net.masks(WinnerRateConfig(per_layer_rate={layer: rate})):
                 acc = evaluate(net, val_split, mode="jp")[0]
-            pts.append((rate, base - acc))
+            pts.append((rate, (round(base * n) - round(acc * n)) / n))
         curve.points[layer] = pts
     return curve

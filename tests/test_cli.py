@@ -409,6 +409,10 @@ _CONV1 = {"in_ch": 1, "out_ch": 20, "kernel": 5, "stride": 1, "pad": 2}  # lenet
      "conv2d kernel must be an int >= 1, got 2.5"),
     ("lenet4", 2, {"kind": "maxpool", "geometry": {"window": 2, "stride": 0, "pad": 0}},
      "maxpool stride must be an int >= 1, got 0"),
+    ("leaky6", 1, {"kind": "leaky_relu", "geometry": {"slope": "x"}},
+     "leaky_relu slope must be in (0,1), got 'x'"),
+    ("leaky6", 4, {"kind": "skip_save", "geometry": {"tag": [1]}},
+     "skip_save tag must be a str, got [1]"),
 ])
 def test_cli_eval_on_checkpoint_with_bad_layer_is_one_line_error(tmp_path, capsys,
                                                                  preset, index, entry, needle):
@@ -418,6 +422,19 @@ def test_cli_eval_on_checkpoint_with_bad_layer_is_one_line_error(tmp_path, capsy
     save_checkpoint(ckpt, path)
     assert main(["eval", _config(tmp_path, tmp_path), "--checkpoint", str(path)]) == 1
     _one_line_error(capsys, needle)
+
+
+@pytest.mark.parametrize("dtype", ["foo", "<i4"])
+def test_cli_report_macs_on_checkpoint_with_non_float_dtype_is_one_line_error(tmp_path, capsys,
+                                                                           dtype):
+    """"foo" used to end in a traceback, and "<i4" loaded an int32 mlp3
+    whose weights were all truncated to 0."""
+    ckpt = checkpoint_from_network(get_preset("mlp3").build())
+    ckpt.dtype = dtype
+    path = tmp_path / "bad.ckpt"
+    save_checkpoint(ckpt, path)
+    assert main(["report-macs", _config(tmp_path, tmp_path), "--checkpoint", str(path)]) == 1
+    _one_line_error(capsys, f"checkpoint dtype {dtype!r} is not a float type")
 
 
 @pytest.mark.parametrize("argv, needles", [

@@ -2,6 +2,7 @@
 
 import dataclasses
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ import yaml
 
 from jointprune.cli import main
 from jointprune.config import KEYS, Experiment, load_experiment
-from jointprune.datasets import cifar10_paths
+from jointprune.datasets import DatasetSplit, cifar10_paths, train_val_split
 from jointprune.errors import ConfigError
 from jointprune.pipeline import TrainConfig
 from jointprune.sparsity import WinnerRateConfig
@@ -239,6 +240,31 @@ def test_load_test_reads_and_crops_only_the_test_batch(tmp_path, rng):
     assert test.images.shape == (7, 3, 24, 24) and test.role == "test"
     assert test.images.tobytes() == expect.images.tobytes()
     assert np.array_equal(test.labels, expect.labels)
+
+
+def test_load_data_copies_each_split_once(tmp_path, monkeypatch):
+    """load_data copies the kept training images once, in the order of the
+    permuted split, so its peak stays near the splits it returns; it used
+    to copy the whole permuted split first."""
+    n, val_size, subset = 3000, 300, 600
+    rng = np.random.default_rng(0)
+    full = DatasetSplit(rng.random((n, 1, 28, 28), dtype=np.float32),
+                        rng.integers(0, 10, n), "train")
+    monkeypatch.setattr(Experiment, "_read", lambda self, name: full)
+    exp = load_experiment(_write(tmp_path, f"model: mlp3\ndata: {{dir: /d, val_size: {val_size}, "
+                                           f"train_subset: {subset}}}\n"))
+    tracemalloc.start()
+    try:
+        train, val, _ = exp.load_data()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    kept = sum(s.images.nbytes + s.labels.nbytes for s in (train, val))
+    assert peak < 1.1 * kept, (peak, kept)
+    rest, expect_val = train_val_split(full, val_size, exp.train_cfg.seed)
+    assert train.images.tobytes() == rest.images[:subset].tobytes()
+    assert np.array_equal(train.labels, rest.labels[:subset])
+    assert val.images.tobytes() == expect_val.images.tobytes()
 
 
 def test_load_data_subset_and_split(tmp_path, data_dir):

@@ -396,7 +396,11 @@ def test_spec_missing_geometry_is_config_error(kind, geometry, missing):
     (L.conv2d(1, 2, 3), "pad", -1, 0),
     (L.avgpool(2), "window", "two", 1),
     (L.maxpool(2), "stride", None, 1),
-], ids=["bool", "fraction", "pad-below-0", "string", "none"])
+    (L.conv2d(1, 2, 3), "kernel", np.float32(2.5), 1),
+    (L.conv2d(1, 2, 3), "stride", np.float32("inf"), 1),
+    (L.fc(4, 2), "n_out", np.True_, 1),
+], ids=["bool", "fraction", "pad-below-0", "string", "none",
+        "numpy-fraction", "numpy-inf", "numpy-bool"])
 def test_spec_size_must_be_an_int_in_range(spec, key, value, least):
     with pytest.raises(ConfigError, match=re.escape(
             f"{spec.kind} {key} must be an int >= {least}, got {value!r}")):
@@ -404,6 +408,26 @@ def test_spec_size_must_be_an_int_in_range(spec, key, value, least):
     # an integral float is the int it names
     size = L.LayerSpec(spec.kind, {**spec.geometry, key: 3.0}).geometry[key]
     assert size == 3 and type(size) is int
+
+
+@pytest.mark.parametrize("spec, key, value, words", [
+    (L.leaky_relu(), "slope", "x", "in (0,1)"),
+    (L.leaky_relu(), "slope", float("nan"), "in (0,1)"),
+    (L.dropout(0.5), "rate", None, "in [0,1)"),
+    (L.dropout(0.5), "rate", np.True_, "in [0,1)"),
+    (L.skip_save(), "tag", [1], "a str"),
+    (L.skip_add(), "tag", 1, "a str"),
+])
+def test_spec_value_outside_its_rule_is_config_error(spec, key, value, words):
+    with pytest.raises(ConfigError, match=re.escape(
+            f"{spec.kind} {key} must be {words}, got {value!r}")):
+        L.LayerSpec(spec.kind, {**spec.geometry, key: value})
+
+
+def test_spec_numeric_string_is_cast():
+    """A numeric string slope or rate is the float it names, as in YAML."""
+    slope, rate = L.leaky_relu("0.25").geometry["slope"], L.dropout("0").geometry["rate"]
+    assert (slope, rate) == (0.25, 0.0) and type(slope) is type(rate) is float
 
 
 def _f64_forward(net, x, act_masks):

@@ -188,6 +188,35 @@ def test_choose_winner_rates(caplog):
     assert choose_winner_rates(edge, tolerable_drop=0.25).per_layer_rate == {2: 0.3}
 
 
+class _CountingNet:
+    """A stub sweep walk over images that hold their sample index: the
+    dense logits are right for the first ``dense_hits`` samples, each
+    masked point's for the first ``masked_hits``."""
+
+    def __init__(self, dense_hits, masked_hits):
+        self.dense_hits, self.masked_hits = dense_hits, masked_hits
+
+    def sweep_logits(self, images, layers, rates):
+        idx = images[:, 0, 0, 0]
+
+        def logits(hits):  # class 0, every sample's label, wins below ``hits``
+            return np.stack([idx < hits, idx >= hits], axis=1).astype(np.float32)
+
+        return logits(self.dense_hits), {(layer, r): logits(self.masked_hits)
+                                         for layer in layers for r in rates}
+
+
+def test_sweep_keeps_a_loss_of_exactly_the_tolerance():
+    """4,000 dense and 3,980 masked hits out of 5,000 lose exactly 0.4% of
+    the samples (the paper's tolerance), so the rate is kept."""
+    n = 5000
+    val = DatasetSplit(np.arange(n, dtype=np.float32).reshape(n, 1, 1, 1),
+                       np.zeros(n, dtype=np.int64), "val")
+    curve = sensitivity_sweep(_CountingNet(4000, 3980), val, [0.1, 1.0], [2])
+    assert curve.baseline_accuracy == 0.8 and curve.points[2][0] == (0.1, 0.004)
+    assert choose_winner_rates(curve, tolerable_drop=0.004).per_layer_rate == {2: 0.1}
+
+
 def test_adjust_dropout_values():
     assert adjust_dropout(0.5, 0.25) == 0.25
     assert np.isclose(adjust_dropout(0.5, 0.12), 0.5 * np.sqrt(0.12))
