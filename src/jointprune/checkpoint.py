@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 import struct
 import typing
@@ -105,7 +106,6 @@ def network_from_checkpoint(ckpt):
                 f"param {name}: checkpoint shape {value.shape} != model {p.value.shape}"
             )
         p.value = value.astype(net.dtype, copy=True)
-        p.grad = np.zeros_like(p.value)
         if name in ckpt.masks:
             p.set_mask(ckpt.masks[name])
     if ckpt.winner_cfg is not None:
@@ -204,7 +204,8 @@ def _replacing(path, mode, **kw):
 
 
 def load_checkpoint(path):
-    """Read and verify a checkpoint; param values are read-only views of its bytes."""
+    """Read and verify a checkpoint; param values are read-only views of its
+    bytes.  Every fault in decoding a payload whose CRC holds is a ``CheckpointError``."""
     with open(path, "rb") as f:
         blob = f.read()
     if len(blob) < 20 or blob[:6] != MAGIC:
@@ -224,39 +225,36 @@ def load_checkpoint(path):
     def take(n):
         nonlocal off
         if off + n > len(payload):
-            raise CheckpointError(f"{path}: payload underrun")
-        chunk = payload[off : off + n]
+            raise ValueError("payload underrun")
         off += n
-        return chunk
+        return payload[off - n : off]
 
-    (meta_len,) = struct.unpack("<I", take(4))
-    meta_doc = json.loads(bytes(take(meta_len)))
-    params, masks = {}, {}
-    for name in meta_doc["param_order"]:
-        (name_len,) = struct.unpack("<H", take(2))
-        stored = str(take(name_len), "utf-8")
-        if stored != name:
-            raise CheckpointError(f"{path}: param order mismatch ({stored!r} != {name!r})")
-        (dt_len,) = struct.unpack("<B", take(1))
-        dtype = np.dtype(str(take(dt_len), "utf-8"))
-        (ndim,) = struct.unpack("<B", take(1))
-        shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
-        value = np.frombuffer(take(int(np.prod(shape)) * dtype.itemsize), dtype=dtype)
-        params[name] = value.reshape(shape)
-        (has_mask,) = struct.unpack("<B", take(1))
-        if has_mask:
-            nbits = int(np.prod(shape))
-            packed = np.frombuffer(take((nbits + 7) // 8), dtype=np.uint8)
-            bits = np.unpackbits(packed, count=nbits)
-            masks[name] = bits.reshape(shape).astype(dtype)
+    try:
+        (meta_len,) = struct.unpack("<I", take(4))
+        meta_doc = json.loads(bytes(take(meta_len)))
+        params, masks = {}, {}
+        for name in meta_doc["param_order"]:
+            (name_len,) = struct.unpack("<H", take(2))
+            stored = str(take(name_len), "utf-8")
+            if stored != name:
+                raise ValueError(f"param order mismatch ({stored!r} != {name!r})")
+            (dt_len,) = struct.unpack("<B", take(1))
+            dtype = np.dtype(str(take(dt_len), "utf-8"))
+            (ndim,) = struct.unpack("<B", take(1))
+            shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
+            size = math.prod(shape)
+            params[name] = np.frombuffer(take(size * dtype.itemsize), dtype=dtype).reshape(shape)
+            (has_mask,) = struct.unpack("<B", take(1))
+            if has_mask:
+                packed = np.frombuffer(take((size + 7) // 8), dtype=np.uint8)
+                masks[name] = np.unpackbits(packed, count=size).reshape(shape).astype(dtype)
+        ckpt = Checkpoint(
+            arch=list(meta_doc["arch"]), input_shape=tuple(meta_doc["input_shape"]),
+            dtype=meta_doc["dtype"], params=params, masks=masks,
+            winner_cfg=meta_doc["winner_cfg"], meta=meta_doc["meta"],
+        )
+    except (KeyError, TypeError, ValueError, struct.error) as e:
+        raise CheckpointError(f"{path}: malformed payload: {e}") from None
     if off != len(payload):
         raise CheckpointError(f"{path}: {len(payload) - off} trailing payload bytes")
-    return Checkpoint(
-        arch=meta_doc["arch"],
-        input_shape=tuple(meta_doc["input_shape"]),
-        dtype=meta_doc["dtype"],
-        params=params,
-        masks=masks,
-        winner_cfg=meta_doc["winner_cfg"],
-        meta=meta_doc["meta"],
-    )
+    return ckpt

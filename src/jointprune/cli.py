@@ -32,7 +32,7 @@ def _load_net(exp, args):
     for ``args.mode``, the model the command reads: ``dense`` runs with no
     activation masks, ``jp`` with the checkpoint's winner rates, or the
     experiment's when the checkpoint has none."""
-    path = args.checkpoint or _out(exp, f"{args.mode}.ckpt")
+    path = args.checkpoint or os.path.join(exp.out_dir, f"{args.mode}.ckpt")
     net = ckpt_io.network_from_checkpoint(ckpt_io.load_checkpoint(path))
     net.set_mask_cfg(None if args.mode == "dense" else net.mask_cfg or exp.mask_cfg)
     return net

@@ -144,9 +144,12 @@ def skip_add(tag="skip"):
 # ---------------------------------------------------------------------------
 
 
-def _pool_geometry(h, w, window, stride, pad):
-    oh = (h + 2 * pad - window) // stride + 1
-    ow = (w + 2 * pad - window) // stride + 1
+def _out_window(kind, g, k, in_shape):
+    """The (oh, ow) output window of a k x k kernel or pooling window at
+    ``g``'s stride and pad over a (C, H, W) input; ShapeError when empty."""
+    oh, ow = ((n + 2 * g["pad"] - k) // g["stride"] + 1 for n in in_shape[1:])
+    if oh <= 0 or ow <= 0:
+        raise ShapeError(f"{kind} geometry {g} yields empty output for input {in_shape}")
     return oh, ow
 
 
@@ -214,12 +217,11 @@ def _im2col(x4, k, s, p, ys, xs, buf=None):
     return cols.reshape(c * k * k, -1)
 
 
-def _col2im(dcols, x_shape, k, s, p):
-    """Scatter-add the inverse of :func:`_im2col` over the whole output
-    into a (C, H, W, B) array, returned as its (B, C, H, W) view; taps add
-    in (i, j) row-major order and padding is dropped."""
+def _col2im(dcols, x_shape, oh, ow, k, s, p):
+    """Scatter-add the inverse of :func:`_im2col` over the whole oh x ow
+    output into a (C, H, W, B) array, returned as its (B, C, H, W) view;
+    taps add in (i, j) row-major order and padding is dropped."""
     b, c, h, w = x_shape
-    oh, ow = _pool_geometry(h, w, k, s, p)
     dc = dcols.reshape(c, k, k, oh, ow, b)
     dx4 = np.zeros((c, h, w, b), dtype=dcols.dtype)
     for i, j, (oy, ox), (rows, xcols) in _conv_taps(h, w, range(oh), range(ow), k, s, p):
@@ -371,10 +373,7 @@ class Conv2d(Layer):
         g = self.spec.geometry
         if len(in_shape) != 3 or in_shape[0] != g["in_ch"]:
             raise ShapeError(f"conv2d expects ({g['in_ch']}, H, W) input, got {in_shape}")
-        oh, ow = _pool_geometry(in_shape[1], in_shape[2], g["kernel"], g["stride"], g["pad"])
-        if oh <= 0 or ow <= 0:
-            raise ShapeError(f"conv2d geometry {g} yields empty output for input {in_shape}")
-        return (g["out_ch"], oh, ow)
+        return (g["out_ch"], *_out_window(self.kind, g, g["kernel"], in_shape))
 
     def forward(self, x, train=False, rng=None):
         g = self.spec.geometry
@@ -430,7 +429,7 @@ class Conv2d(Layer):
             b, _, oh, ow = dout.shape
             nchw = np.ascontiguousarray(dout.transpose(1, 0, 2, 3)).reshape(len(dout2), -1)
             dcols = (w2t @ nchw).reshape(b, oh, ow).transpose(1, 2, 0).reshape(1, -1)
-        return _col2im(dcols, x_shape, g["kernel"], g["stride"], g["pad"])
+        return _col2im(dcols, x_shape, *dout.shape[2:], g["kernel"], g["stride"], g["pad"])
 
 
 class _Pool(Layer):
@@ -444,10 +443,7 @@ class _Pool(Layer):
         g = self.spec.geometry
         if len(in_shape) != 3:
             raise ShapeError(f"{self.kind} expects (C, H, W) input, got {in_shape}")
-        oh, ow = _pool_geometry(in_shape[1], in_shape[2], g["window"], g["stride"], g["pad"])
-        if oh <= 0 or ow <= 0:
-            raise ShapeError(f"{self.kind} geometry {g} yields empty output for input {in_shape}")
-        return (in_shape[0], oh, ow)
+        return (in_shape[0], *_out_window(self.kind, g, g["window"], in_shape))
 
     def _padded(self, x):
         """The (C, H + 2p, W + 2p, B) copy of an input, padded with
@@ -467,9 +463,8 @@ class _Pool(Layer):
         offset (i, j) in row-major order; view (i, j) holds element (i, j)
         of every window."""
         g = self.spec.geometry
-        k, s = g["window"], g["stride"]
-        oh = (xp.shape[1] - k) // s + 1
-        ow = (xp.shape[2] - k) // s + 1
+        k, s, p = g["window"], g["stride"], g["pad"]
+        _, oh, ow = self.out_shape((xp.shape[0], xp.shape[1] - 2 * p, xp.shape[2] - 2 * p))
         return [xp[:, i:i + s * oh:s, j:j + s * ow:s] for i in range(k) for j in range(k)]
 
     def _input_grad(self, dxp):

@@ -11,11 +11,12 @@ outlives the call.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 
 import numpy as np
 
 from .errors import ConfigError, ShapeError
+from .fields import cast_field
 from .layers import LayerSpec, build_layer
 from .sparsity import WinnerRateConfig
 
@@ -39,10 +40,15 @@ class ForwardResult:
 
 class Network:
     def __init__(self, specs, input_shape, dtype=np.float32, seed=0, init=True):
-        """Owns copies of ``specs``.  Weights are drawn from ``seed``, or are
+        """Owns copies of ``specs`` and of ``input_shape``, one or more dims
+        each cast to an int >= 1.  Weights are drawn from ``seed``, or are
         zero with ``init=False``, for a network whose params are then loaded."""
+        self.input_shape = ()
+        with suppress(TypeError, ValueError, AttributeError):
+            self.input_shape = tuple(cast_field(int, d) for d in input_shape)
+        if min(self.input_shape, default=0) < 1:
+            raise ConfigError(f"input shape must be one or more ints >= 1, got {input_shape!r}")
         self.specs = [LayerSpec(s.kind, dict(s.geometry)) for s in specs]
-        self.input_shape = tuple(input_shape)
         self.dtype = np.dtype(dtype)
         rng = np.random.default_rng(seed) if init else None
         self.layers = [build_layer(s, rng, self.dtype) for s in self.specs]

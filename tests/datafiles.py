@@ -1,10 +1,14 @@
-"""Writers of the dataset files the loaders read, MNIST IDX files and
-CIFAR-10 binary batches, for tests that run on synthetic data."""
+"""Writers of the files the loaders read, MNIST IDX files, CIFAR-10 binary
+batches and checkpoints with a hand-edited payload, for tests that run on
+synthetic data."""
 
+import json
 import struct
+import zlib
 
 import numpy as np
 
+from jointprune import checkpoint as ckpt_io
 from jointprune.datasets import CIFAR_RECORD_BYTES, cifar10_paths, mnist_paths
 
 
@@ -44,3 +48,23 @@ def write_cifar10(data_dir, per_batch, n_test, rng):
     for path, n in zip(paths["train"] + paths["test"], [per_batch] * 5 + [n_test]):
         write_cifar_batch(path, rng.integers(0, 256, size=(n, 3, 32, 32)),
                           rng.integers(0, 10, size=n))
+
+
+def write_edited_checkpoint(path, ckpt, edit):
+    """``ckpt`` saved with its payload parts (as ``checkpoint._payload_parts``
+    lists them) passed through ``edit`` first, under a header whose length
+    and CRC match the edited payload, so only its decoding can fail."""
+    payload = b"".join(bytes(part) for part in edit(ckpt_io._payload_parts(ckpt)))
+    header = struct.pack("<BBIQ", ckpt_io.VERSION, 0, zlib.crc32(payload), len(payload))
+    path.write_bytes(ckpt_io.MAGIC + header + payload)
+
+
+def edit_meta(change):
+    """A payload edit for :func:`write_edited_checkpoint` that stores the
+    meta JSON as ``change`` leaves its decoded dict."""
+    def edit(parts):
+        doc = json.loads(bytes(parts[1]))
+        change(doc)
+        meta = json.dumps(doc).encode()
+        return [struct.pack("<I", len(meta)), meta, *parts[2:]]
+    return edit

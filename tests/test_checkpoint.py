@@ -1,6 +1,7 @@
 """Checkpoint serialization: bit-exact round trips, corruption detection."""
 
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -22,6 +23,8 @@ from jointprune.checkpoint import (
 from jointprune.errors import CheckpointError
 from jointprune.network import Network
 from jointprune.sparsity import WinnerRateConfig
+
+from datafiles import edit_meta, write_edited_checkpoint
 
 
 def _small_net(seed=11):
@@ -77,6 +80,9 @@ def test_load_copies_each_param_once(tmp_path, rng):
         assert q.value.flags.writeable
         assert not np.shares_memory(q.value, ckpt.params[name])
         assert q.value.dtype == p.value.dtype and q.value.tobytes() == p.value.tobytes()
+        # the zero grad Network(init=False) gave it, of the value's shape and dtype
+        assert q.grad.shape == q.value.shape and q.grad.dtype == q.value.dtype
+        assert not q.grad.any()
 
 
 def test_pruned_density_preserved(tmp_path, rng):
@@ -131,6 +137,24 @@ def test_truncated_payload(tmp_path):
     blob = path.read_bytes()
     path.write_bytes(blob[:-7])
     with pytest.raises(CheckpointError, match="truncated"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("edit, needle", [
+    (lambda parts: [struct.pack("<I", 1 << 20), *parts[1:]], "malformed payload: payload underrun"),
+    (lambda parts: [*parts[:3], b"layer0.x", *parts[4:]],
+     "malformed payload: param order mismatch ('layer0.x' != 'layer0.w')"),
+    (lambda parts: [*parts[:3], b"layer0\xff", *parts[4:]], "malformed payload: 'utf-8' codec"),
+    (lambda parts: [*parts, b"\0\0"], "2 trailing payload bytes"),
+    (edit_meta(lambda d: d.pop("meta")), "malformed payload: 'meta'"),
+    (edit_meta(lambda d: d.update(input_shape=6)), "malformed payload: 'int' object"),
+], ids=["underrun", "order", "name-not-utf8", "trailing", "no-meta", "input-shape-int"])
+def test_decode_fault_is_checkpoint_error(tmp_path, edit, needle):
+    """A payload whose length and CRC hold but which does not decode is
+    rejected with one ``CheckpointError`` naming the file."""
+    path = tmp_path / "d.ckpt"
+    write_edited_checkpoint(path, checkpoint_from_network(_small_net()), edit)
+    with pytest.raises(CheckpointError, match=re.escape(f"{path}: {needle}")):
         load_checkpoint(path)
 
 

@@ -2,6 +2,7 @@
 CIFAR-10 files, plus the one-line failure contract."""
 
 import math
+import struct
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,7 @@ from jointprune.datasets import mnist_paths
 from jointprune.metrics import read_report
 from jointprune.models import get_preset
 
-from datafiles import write_cifar10, write_mnist
+from datafiles import edit_meta, write_cifar10, write_edited_checkpoint, write_mnist
 
 
 @pytest.fixture(scope="module")
@@ -158,9 +159,14 @@ def _one_line_error(capsys, *needles):
 
 
 def test_cli_missing_checkpoint_is_one_line_error(tmp_path, capsys):
-    missing = tmp_path / "missing.ckpt"
-    assert main(["eval", _config(tmp_path, tmp_path), "--checkpoint", str(missing)]) == 1
-    _one_line_error(capsys, str(missing))
+    """Named by --checkpoint or not, a checkpoint that cannot be read makes
+    one error line and no ``outputs`` directory."""
+    cfg, missing = _config(tmp_path, tmp_path), tmp_path / "missing.ckpt"
+    for flags, path in [(["--checkpoint", str(missing)], missing),
+                        ([], tmp_path / "out" / "jp.ckpt")]:
+        assert main(["eval", cfg, *flags]) == 1
+        _one_line_error(capsys, str(path))
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("preset, index, key", [("mlp3", 1, "n_out"), ("leaky6", 4, "tag"),
@@ -435,6 +441,24 @@ def test_cli_report_macs_on_checkpoint_with_non_float_dtype_is_one_line_error(tm
     save_checkpoint(ckpt, path)
     assert main(["report-macs", _config(tmp_path, tmp_path), "--checkpoint", str(path)]) == 1
     _one_line_error(capsys, f"checkpoint dtype {dtype!r} is not a float type")
+
+
+@pytest.mark.parametrize("edit, needles", [
+    (edit_meta(lambda d: d.update(input_shape=[1, "x", 28])),
+     ["input shape must be one or more ints >= 1, got (1, 'x', 28)"]),
+    (edit_meta(lambda d: d.pop("param_order")), ["malformed payload: 'param_order'"]),
+    (lambda parts: [struct.pack("<I", 8), b"not json", *parts[2:]],
+     ["malformed payload: Expecting value"]),
+    (lambda parts: [*parts[:4], struct.pack("<B", 3), b"zzz", *parts[6:]],
+     ["malformed payload: data type 'zzz' not understood"]),
+    (edit_meta(lambda d: d.update(arch=5)), ["malformed payload: 'int' object is not iterable"]),
+], ids=["input-shape-str", "no-param-order", "meta-not-json", "param-dtype-zzz", "arch-int"])
+def test_cli_report_macs_on_malformed_payload_is_one_line_error(tmp_path, capsys, edit, needles):
+    """Each file's length and CRC hold; each used to end in a traceback."""
+    path = tmp_path / "bad.ckpt"
+    write_edited_checkpoint(path, checkpoint_from_network(get_preset("mlp3").build()), edit)
+    assert main(["report-macs", _config(tmp_path, tmp_path), "--checkpoint", str(path)]) == 1
+    _one_line_error(capsys, *needles)
 
 
 @pytest.mark.parametrize("argv, needles", [

@@ -424,6 +424,22 @@ def test_spec_value_outside_its_rule_is_config_error(spec, key, value, words):
         L.LayerSpec(spec.kind, {**spec.geometry, key: value})
 
 
+@pytest.mark.parametrize("shape", [(1, "x", 28), (1, 0, 28), (), (1, -2, 28), (1, 2.5, 28),
+                                   (1, True, 28), 784, None],
+                         ids=["str", "zero", "empty", "negative", "fraction", "bool", "int", "none"])
+def test_input_shape_must_be_ints_of_at_least_one(shape):
+    with pytest.raises(ConfigError, match=re.escape(
+            f"input shape must be one or more ints >= 1, got {shape!r}")):
+        Network([L.flatten(), L.fc(784, 10)], shape)
+
+
+def test_input_shape_is_cast_to_ints():
+    """An integral float or a numeric string dim is the int it names, as
+    a layer size is."""
+    net = Network([L.flatten(), L.fc(784, 10)], [1.0, np.int64(28), "28"])
+    assert net.input_shape == (1, 28, 28) and all(type(d) is int for d in net.input_shape)
+
+
 def test_spec_numeric_string_is_cast():
     """A numeric string slope or rate is the float it names, as in YAML."""
     slope, rate = L.leaky_relu("0.25").geometry["slope"], L.dropout("0").geometry["rate"]

@@ -82,16 +82,19 @@ def test_sensitivity_rate_one_drop_is_zero():
 
 
 def test_sensitivity_matches_independent_eval():
-    """The sweep's drops equal baseline minus a directly masked evaluation."""
+    """Each sweep drop is the count of samples a directly masked evaluation
+    loses against the baseline, over the split size, each count recovered
+    from its accuracy as ``sensitivity_sweep_reference`` recovers it."""
     net, _ = _trained()
     val = _blobs(seed=3)
+    n = len(val)
     curve = sensitivity_sweep(net, val, rates=[0.3, 0.6], layers=[2])
     base, _ = evaluate(net, val, mode="dense")
     for rate, drop in curve.points[2]:
         net.set_mask_cfg(WinnerRateConfig(per_layer_rate={2: rate}))
         masked_acc, _ = evaluate(net, val, mode="jp")
         net.set_mask_cfg(None)
-        assert drop == base - masked_acc
+        assert drop == (round(base * n) - round(masked_acc * n)) / n
     # sweeping must leave the network untouched
     assert net.mask_cfg is None
     assert evaluate(net, val, mode="dense")[0] == base
