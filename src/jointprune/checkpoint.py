@@ -96,16 +96,17 @@ def network_from_checkpoint(ckpt):
         dtype = np.dtype(ckpt.dtype) if isinstance(ckpt.dtype, str) else None
     if dtype is None or dtype.kind != "f":
         raise CheckpointError(f"checkpoint dtype {ckpt.dtype!r} is not a float type")
-    net = Network(specs, ckpt.input_shape, dtype=dtype, init=False)
-    for name, p in _param_names(net):
-        if name not in ckpt.params:
+
+    def stored(i, pname, shape):
+        if (name := f"layer{i}.{pname}") not in ckpt.params:
             raise CheckpointError(f"checkpoint missing param {name}")
         value = ckpt.params[name]
-        if value.shape != p.value.shape:
-            raise CheckpointError(
-                f"param {name}: checkpoint shape {value.shape} != model {p.value.shape}"
-            )
-        p.value = value.astype(net.dtype, copy=True)
+        if value.shape != shape:
+            raise CheckpointError(f"param {name}: checkpoint shape {value.shape} != model {shape}")
+        return value
+
+    net = Network(specs, ckpt.input_shape, dtype=dtype, stored=stored)
+    for name, p in _param_names(net):
         if name in ckpt.masks:
             p.set_mask(ckpt.masks[name])
     if ckpt.winner_cfg is not None:
@@ -240,6 +241,8 @@ def load_checkpoint(path):
                 raise ValueError(f"param order mismatch ({stored!r} != {name!r})")
             (dt_len,) = struct.unpack("<B", take(1))
             dtype = np.dtype(str(take(dt_len), "utf-8"))
+            if dtype.kind != "f":
+                raise ValueError(f"param {name} dtype {dtype.str!r} is not a float type")
             (ndim,) = struct.unpack("<B", take(1))
             shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
             size = math.prod(shape)

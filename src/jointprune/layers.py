@@ -72,6 +72,11 @@ _GEOMETRY = {
     "skip_save": _TAG,
     "skip_add": _TAG,
 }
+# each weight layer kind's weight and bias shapes, from its geometry
+_PARAM_SHAPES = {
+    "fc": lambda g: ((g["n_in"], g["n_out"]), (g["n_out"],)),
+    "conv2d": lambda g: ((g["out_ch"], g["in_ch"], g["kernel"], g["kernel"]), (g["out_ch"],)),
+}
 
 
 @dataclass
@@ -82,7 +87,7 @@ class LayerSpec:
     geometry: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in LAYER_KINDS:
+        if not isinstance(self.kind, str) or self.kind not in LAYER_CLASSES:
             raise ConfigError(f"unknown layer kind {self.kind!r}")
         if not isinstance(self.geometry, dict):
             raise ConfigError(f"{self.kind} geometry must be a mapping, got {self.geometry!r}")
@@ -262,15 +267,6 @@ EVAL_COLS_BYTES = 4 << 20
 FC_GATHER_MIN_WEIGHTS = 1 << 18
 
 
-def _uniform_init(rng, shape, fan_in, dtype):
-    """He-uniform weights, U(-sqrt(6/fan_in), sqrt(6/fan_in)); zeros without
-    an rng, for a network whose params are about to be loaded."""
-    if rng is None:
-        return np.zeros(shape, dtype=dtype)
-    limit = np.sqrt(6.0 / fan_in)
-    return rng.uniform(-limit, limit, shape).astype(dtype)
-
-
 class Param:
     """A trainable array with its gradient and an optional static binary mask.
 
@@ -303,16 +299,32 @@ class Param:
 
 
 class Layer:
-    """Every layer kind is built as ``cls(spec, rng, dtype)``; a None
-    ``rng`` leaves the weights at zero.  Each kind but the skip markers
-    defines ``forward(x, train=False, rng=None)``, which returns the output,
-    and ``backward(dout)``, which returns the input gradient."""
+    """Every layer kind is built as ``cls(spec)``, with no params: a weight
+    layer makes its own once, in ``make_params``.  Each kind but the skip
+    markers defines ``forward(x, train=False, rng=None)``, which returns the
+    output, and ``backward(dout)``, which returns the input gradient."""
 
     kind = None
 
-    def __init__(self, spec, rng, dtype):
+    def __init__(self, spec):
         self.spec = spec
         self.params = []
+
+    def make_params(self, rng, dtype, stored=None):
+        """A weight layer's ``w`` and ``b``, of the shapes ``_PARAM_SHAPES``
+        gives: He-uniform weights, U(-sqrt(6/fan_in), sqrt(6/fan_in)) with
+        fan_in the weights per output, drawn from ``rng``, and zero biases;
+        or, with ``stored``, ``dtype`` copies of ``stored(name, shape)``."""
+        if self.kind not in _PARAM_SHAPES:
+            return
+        w_shape, b_shape = _PARAM_SHAPES[self.kind](self.spec.geometry)
+        if stored is None:
+            limit = np.sqrt(6.0 / (math.prod(w_shape) // b_shape[0]))
+            w, b = rng.uniform(-limit, limit, w_shape).astype(dtype), np.zeros(b_shape, dtype)
+        else:  # both are fetched, and so checked, before either is copied
+            w, b = (v.astype(dtype) for v in (stored("w", w_shape), stored("b", b_shape)))
+        self.w, self.b = Param("w", w), Param("b", b)
+        self.params = [self.w, self.b]
 
     def out_shape(self, in_shape):
         return in_shape
@@ -320,13 +332,6 @@ class Layer:
 
 class Dense(Layer):
     kind = "fc"
-
-    def __init__(self, spec, rng, dtype):
-        super().__init__(spec, rng, dtype)
-        n_in, n_out = spec.geometry["n_in"], spec.geometry["n_out"]
-        self.w = Param("w", _uniform_init(rng, (n_in, n_out), n_in, dtype))
-        self.b = Param("b", np.zeros(n_out, dtype=dtype))
-        self.params = [self.w, self.b]
 
     def out_shape(self, in_shape):
         if len(in_shape) != 1 or in_shape[0] != self.spec.geometry["n_in"]:
@@ -358,16 +363,6 @@ class Dense(Layer):
 
 class Conv2d(Layer):
     kind = "conv2d"
-
-    def __init__(self, spec, rng, dtype):
-        super().__init__(spec, rng, dtype)
-        g = spec.geometry
-        k = g["kernel"]
-        self.w = Param("w", _uniform_init(rng, (g["out_ch"], g["in_ch"], k, k),
-                                          g["in_ch"] * k * k, dtype))
-        self.b = Param("b", np.zeros(g["out_ch"], dtype=dtype))
-        self.params = [self.w, self.b]
-        self._cache = None
 
     def out_shape(self, in_shape):
         g = self.spec.geometry
@@ -609,10 +604,11 @@ class SkipAdd(Layer):
     kind = "skip_add"
 
 
-_LAYER_CLASSES = {cls.kind: cls for cls in (
+LAYER_CLASSES = {cls.kind: cls for cls in (
     Dense, Conv2d, MaxPool2d, AvgPool2d, ReLU, LeakyReLU, Dropout, Flatten, SkipSave, SkipAdd)}
-LAYER_KINDS = tuple(_LAYER_CLASSES)
 
 
 def build_layer(spec, rng, dtype):
-    return _LAYER_CLASSES[spec.kind](spec, rng, dtype)
+    layer = LAYER_CLASSES[spec.kind](spec)
+    layer.make_params(rng, dtype)
+    return layer

@@ -12,12 +12,13 @@ outlives the call.
 from __future__ import annotations
 
 from contextlib import contextmanager, suppress
+from functools import partial
 
 import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .fields import cast_field
-from .layers import LayerSpec, build_layer
+from .layers import LAYER_CLASSES, LayerSpec
 from .sparsity import WinnerRateConfig
 
 
@@ -39,10 +40,10 @@ class ForwardResult:
 
 
 class Network:
-    def __init__(self, specs, input_shape, dtype=np.float32, seed=0, init=True):
+    def __init__(self, specs, input_shape, dtype=np.float32, seed=0, stored=None):
         """Owns copies of ``specs`` and of ``input_shape``, one or more dims
-        each cast to an int >= 1.  Weights are drawn from ``seed``, or are
-        zero with ``init=False``, for a network whose params are then loaded."""
+        each cast to an int >= 1.  After the shape and skip checks, each param
+        is made once: drawn from ``seed``, or copied from ``stored(i, name, shape)``."""
         self.input_shape = ()
         with suppress(TypeError, ValueError, AttributeError):
             self.input_shape = tuple(cast_field(int, d) for d in input_shape)
@@ -50,9 +51,11 @@ class Network:
             raise ConfigError(f"input shape must be one or more ints >= 1, got {input_shape!r}")
         self.specs = [LayerSpec(s.kind, dict(s.geometry)) for s in specs]
         self.dtype = np.dtype(dtype)
-        rng = np.random.default_rng(seed) if init else None
-        self.layers = [build_layer(s, rng, self.dtype) for s in self.specs]
+        self.layers = [LAYER_CLASSES[s.kind](s) for s in self.specs]
         self.layer_shapes = self._resolve_shapes()
+        rng = np.random.default_rng(seed)
+        for i, layer in enumerate(self.layers):
+            layer.make_params(rng, self.dtype, None if stored is None else partial(stored, i))
         # backward ends at the first layer with params: no gradient below
         # it is ever read
         self._grad_floor = next((i for i, layer in enumerate(self.layers) if layer.params), None)

@@ -52,6 +52,8 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be >= 0")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be an int >= 0, got {self.seed}")
         if self.base_dropout is not None and not 0.0 <= self.base_dropout < 1.0:
             raise ConfigError(f"base_dropout must be in [0,1), got {self.base_dropout}")
         for layer, density in (self.weight_target_density or {}).items():

@@ -80,7 +80,7 @@ def test_load_copies_each_param_once(tmp_path, rng):
         assert q.value.flags.writeable
         assert not np.shares_memory(q.value, ckpt.params[name])
         assert q.value.dtype == p.value.dtype and q.value.tobytes() == p.value.tobytes()
-        # the zero grad Network(init=False) gave it, of the value's shape and dtype
+        # the zero grad its Param made beside the one copy, of its shape and dtype
         assert q.grad.shape == q.value.shape and q.grad.dtype == q.value.dtype
         assert not q.grad.any()
 
@@ -155,6 +155,21 @@ def test_decode_fault_is_checkpoint_error(tmp_path, edit, needle):
     path = tmp_path / "d.ckpt"
     write_edited_checkpoint(path, checkpoint_from_network(_small_net()), edit)
     with pytest.raises(CheckpointError, match=re.escape(f"{path}: {needle}")):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("dtype", ["|V4", "<U1", "<i4", "|b1"])
+def test_non_float_param_dtype_is_checkpoint_error(tmp_path, dtype):
+    """A stored param dtype that numpy decodes but that is no float used to
+    pass the load: ``|V4`` then raised a bare ValueError in the rebuild's
+    cast, and an int type loaded truncated weights."""
+    path = tmp_path / "t.ckpt"
+    # the first param's dtype_len and dtype parts follow meta_len, meta,
+    # name_len and name
+    write_edited_checkpoint(path, checkpoint_from_network(_small_net()), lambda parts: [
+        *parts[:4], struct.pack("<B", len(dtype)), dtype.encode(), *parts[6:]])
+    needle = f"{path}: malformed payload: param layer0.w dtype '{dtype}' is not a float type"
+    with pytest.raises(CheckpointError, match=re.escape(needle)):
         load_checkpoint(path)
 
 

@@ -211,6 +211,19 @@ def test_cli_train_subset_below_one_is_one_line_error(tmp_path, capsys, rng, sub
     assert not (tmp_path / "out" / "dense.ckpt").exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["train-dense"],
+    ["bench-fc", "--n-in", "64", "--n-out", "64", "--trials", "1"],
+], ids=["train-dense", "bench-fc"])
+def test_cli_negative_seed_is_one_line_error(tmp_path, capsys, command):
+    """``seed: -1`` used to end in numpy's ``expected non-negative integer``
+    traceback in both commands that seed a generator from it."""
+    cfg = _config(tmp_path, tmp_path, "seed: -1\n")
+    assert main([command[0], cfg, *command[1:]]) == 1
+    _one_line_error(capsys, "seed must be an int >= 0, got -1")
+    assert not (tmp_path / "out").exists()
+
+
 def _mnist_config(tmp_path, rng, n_train, n_test, extra=""):
     """A mlp3 config over random IDX files of ``n_train`` and ``n_test``
     digits, with 50 of the training digits held out for validation."""

@@ -450,9 +450,8 @@ def _f64_forward(net, x, act_masks):
     """Logits of ``net``'s params and specs in float64, applying the given
     winner masks instead of selecting its own: float64 may put another
     element on a winner cut than float32 does."""
-    net64 = Network(net.specs, net.input_shape, dtype=np.float64, init=False)
-    for p, q in zip(net.params(), net64.params(), strict=True):
-        q.value[...] = p.value
+    net64 = Network(net.specs, net.input_shape, dtype=np.float64,
+                    stored=lambda i, name, _: getattr(net.layers[i], name).value)
     y, branches = net64._as_input(x), {}
     for i, t in enumerate(act_masks):
         y = net64._layer_forward(i, y, branches)
