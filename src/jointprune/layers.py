@@ -49,7 +49,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, ShapeError
 from .fields import cast_field
@@ -188,8 +187,10 @@ def _im2col(x4, k, s, p, ys, xs, buf=None):
     ``buf`` (or an array of their own) whatever it held.  An input whose
     batch is not innermost (an NCHW array viewed as (C, H, W, B)) has only
     the rows this window reads transposed.  A single sample (B == 1) is
-    instead copied once from the windows of a zero-padded copy of the
-    input, which gives the same bytes."""
+    instead copied once from a (c, i, j, y, x) view of the k x k windows
+    of a contiguous zero-padded copy of the input (the input itself when
+    unpadded and contiguous), made from that copy's strides, with the same
+    bytes."""
     c, h, w, b = x4.shape
     ny, nx = len(ys), len(xs)
     shape = (c, k, k, ny, nx, b)
@@ -198,12 +199,17 @@ def _im2col(x4, k, s, p, ys, xs, buf=None):
         # a single sample fills its columns in one strided copy from the
         # k x k windows of a zero-padded copy: the k*k tap copies of a few
         # hundred elements each cost more in calls than in bytes
-        xp = x4[..., 0]
         if p:
             xp = np.zeros((c, h + 2 * p, w + 2 * p), x4.dtype)
             xp[:, p:p + h, p:p + w] = x4[..., 0]
-        win = sliding_window_view(xp, (k, k), axis=(1, 2))[:, ::s, ::s]
-        cols[..., 0] = win[:, ys.start:ys.stop, xs.start:xs.stop].transpose(0, 3, 4, 1, 2)
+        else:
+            xp = np.ascontiguousarray(x4[..., 0])
+        # the (c, i, j, y, x) windows as a view of xp's buffer with xp's
+        # strides: 0.3 us, where sliding_window_view, its slicing and its
+        # transpose take 8 us; nothing but this copy reads the view
+        sc, sy, sx = xp.strides
+        cols[..., 0] = np.ndarray(shape[:-1], xp.dtype, xp, ys.start * s * sy + xs.start * s * sx,
+                                  (sc, sy, sx, s * sy, s * sx))
         return cols.reshape(c * k * k, -1)
     row0 = max(0, ys.start * s - p)
     xb = x4[:, row0:max(row0, (ys.stop - 1) * s - p + k)]

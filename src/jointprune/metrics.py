@@ -126,6 +126,8 @@ def count_effective_macs(net, batch):
     """
     batch = np.asarray(batch, dtype=net.dtype)
     names = weight_layer_names(net)
+    if not names:
+        raise ConfigError("the network has no fc or conv2d layer to count MACs of")
     result = net.forward(batch, mode="eval", keep=[i - 1 for i in names if i])
     report = MacReport()
     b = batch.shape[0]

@@ -50,6 +50,8 @@ class Network:
         if min(self.input_shape, default=0) < 1:
             raise ConfigError(f"input shape must be one or more ints >= 1, got {input_shape!r}")
         self.specs = [LayerSpec(s.kind, dict(s.geometry)) for s in specs]
+        if not self.specs:
+            raise ConfigError("a network needs at least one layer")
         self.dtype = np.dtype(dtype)
         self.layers = [LAYER_CLASSES[s.kind](s) for s in self.specs]
         self.layer_shapes = self._resolve_shapes()

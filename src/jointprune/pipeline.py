@@ -109,7 +109,8 @@ def evaluate(net, split, mode="jp", stat_layers=None):
     baked into the params still apply, so it also evaluates a weight-pruned
     net); ``jp`` uses the net's winner-rate config.  Stats cover
     ``stat_layers`` (default: the masked layers) plus the final output, so
-    the same tensors are compared across modes.
+    the same tensors are compared across modes; an index that names no
+    layer of ``net`` is a ``ConfigError``.
     """
     if mode not in ("dense", "jp"):
         raise ConfigError(f"unknown eval mode {mode!r}")
@@ -121,6 +122,9 @@ def evaluate(net, split, mode="jp", stat_layers=None):
     if stat_layers is None:
         stat_layers = sorted(cfg.per_layer_rate) if cfg else []
     last = len(net.layers) - 1
+    for i in stat_layers:
+        if not 0 <= i <= last:
+            raise ConfigError(f"stat layer index {i} out of range for {last + 1} layers")
     layers = [i for i in stat_layers if i != last] + [last]
     correct = 0
     nnz = {i: 0 for i in layers}

@@ -145,7 +145,10 @@ def select_winners_batch(acts, rate):
     # samples with more ties at the cut than places left keep their ties up
     # to the position of the last one that fits; every other sample keeps
     # all of its ties
-    surplus = mask.sum(axis=0) - k
+    # counted as bytes into int32: exact, since a count is at most N (under
+    # 2**31 for any sample that fits in memory), and 2.0-2.6x faster than a
+    # bool sum into intp, whose accumulator is as slow
+    surplus = mask.view(np.uint8).sum(axis=0, dtype=np.int32) - k
     tied = (surplus > 0).nonzero()[0]
     if tied.size:
         # the tie search runs over the tied samples' gathered columns while

@@ -12,8 +12,10 @@ from jointprune.checkpoint import checkpoint_from_network, load_checkpoint, save
 from jointprune.cli import main
 from jointprune.config import load_experiment
 from jointprune.datasets import mnist_paths
+from jointprune.layers import fc, flatten
 from jointprune.metrics import read_report
 from jointprune.models import get_preset
+from jointprune.network import Network
 
 from datafiles import edit_meta, write_cifar10, write_edited_checkpoint, write_mnist
 
@@ -243,6 +245,18 @@ def test_cli_unknown_optimizer_is_one_line_error(tmp_path, capsys, rng):
     assert main(["train-dense", cfg]) == 1
     _one_line_error(capsys, "unknown optimizer 'adam'")
     assert not (tmp_path / "out" / "dense.ckpt").exists()
+
+
+def test_cli_eval_with_stat_layers_beyond_the_checkpoint_is_one_line_error(tmp_path, capsys,
+                                                                          rng):
+    """eval reads its stat layers from the config's preset, mlp3's 2 and 5,
+    which a two-layer checkpoint lacks: it used to end in an IndexError."""
+    cfg = _mnist_config(tmp_path, rng, 60, 10)
+    net = Network([flatten(), fc(784, 10)], (1, 28, 28))
+    path = tmp_path / "short.ckpt"
+    save_checkpoint(checkpoint_from_network(net), path)
+    assert main(["eval", cfg, "--checkpoint", str(path), "--mode", "dense"]) == 1
+    _one_line_error(capsys, "stat layer index 2 out of range for 2 layers")
 
 
 def test_cli_masking_commands_attach_the_config_rates(tmp_path, capsys, rng):

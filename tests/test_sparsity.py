@@ -158,6 +158,12 @@ def _wide_cases(rng, b, dtype):
     acts = rng.standard_normal((b, 64, 6, 6)).astype(dtype)
     acts[[b // 3, b - 1]] = np.round(acts[[b // 3, b - 1]], 1)
     yield "few-tied", acts, 0.4
+    # whole-sample ties past 255 (n = 2304): every magnitude of a sample
+    # equal, signs mixed, and every element +-0, as a dead ReLU layer
+    # gives; a winner count that wraps at 256 misses each sample's surplus
+    signs = np.where(rng.random((b, 64, 6, 6)) < 0.5, -1.0, 1.0).astype(dtype)
+    yield "all-tied", signs * np.abs(rng.standard_normal((b, 1, 1, 1))).astype(dtype), 0.3
+    yield "all-zero", signs * dtype(0.0), 0.3
 
 
 @pytest.mark.parametrize("b", [1, 2, 100, 256])

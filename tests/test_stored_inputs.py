@@ -5,6 +5,7 @@ line, and never raises.  A case that fails is mended in the library, never
 dropped from a list.  Each test reports every failing case at once."""
 
 import copy
+import dataclasses
 import json
 import math
 import struct
@@ -18,7 +19,7 @@ import yaml
 from jointprune import checkpoint as ckpt_io
 from jointprune import layers as L
 from jointprune.checkpoint import checkpoint_from_network, save_checkpoint
-from jointprune.cli import main
+from jointprune.cli import MODES, main
 from jointprune.config import KEYS
 from jointprune.datasets import CIFAR_RECORD_BYTES, cifar10_paths, mnist_paths
 from jointprune.models import get_preset
@@ -135,6 +136,56 @@ def test_every_checkpoint_meta_leaf(tmp_path, capsys, mnist):
             if leaf[0] in ("arch", "input_shape"):
                 _run(["report-macs", cfg, "--checkpoint", str(path), "--mode", "dense",
                       "--batch", "2"], capsys, (leaf, value), failures)
+    assert not failures, "\n".join(map(str, failures))
+
+
+# entries inserted into the arch at each position: a kind with no params,
+# a weight layer that fits between the hidden layers, and a flatten
+ARCH_INSERTS = [{"kind": "relu", "geometry": {}},
+                {"kind": "fc", "geometry": {"n_in": 8, "n_out": 8}},
+                {"kind": "flatten", "geometry": {}}]
+
+
+def _arch_edit_failures(tmp_path, capsys, mnist, edits):
+    """The failures of each ``(case, edit)`` of ``edits``, an in-place edit of
+    the arch list, on the small checkpoint with its winner rates and without
+    them (as train-dense writes it), each run by ``eval`` and ``report-macs``
+    in both modes.  The config's preset is mlp3, whose masked layers 2 and 5
+    ``eval`` reports whatever the checkpoint's arch."""
+    cfg = _write_config(tmp_path / "exp.yaml", mnist)
+    path, failures = tmp_path / "m.ckpt", []
+    jp = _small_checkpoint()
+    for ckpt in (jp, dataclasses.replace(jp, winner_cfg=None)):
+        for case, edit in edits:
+            write_edited_checkpoint(path, ckpt, edit_meta(lambda d: edit(d["arch"])))
+            for argv in (["eval"], ["report-macs", "--batch", "2"]):
+                for mode in MODES:
+                    _run([*argv, cfg, "--checkpoint", str(path), "--mode", mode], capsys,
+                         (case, ckpt.winner_cfg is not None, argv[0], mode), failures)
+    return failures
+
+
+def test_every_arch_entry_removed(tmp_path, capsys, mnist):
+    """Each arch entry removed, and the arch cut short before each entry.
+    On the checkpoint without rates, every cut to fewer than six layers used
+    to end in a traceback: ``eval --mode dense`` of one to five layers in an
+    IndexError on mlp3's stat layers; both commands of no layer in an
+    IndexError on the logits; and ``report-macs --mode dense`` of the
+    flatten alone, which has no weight layer, in a ZeroDivisionError."""
+    n = len(_small_checkpoint().arch)
+    edits = [(("remove", i), lambda arch, i=i: arch.pop(i)) for i in range(n)]
+    edits += [(("cut", i), lambda arch, i=i: arch.__delitem__(slice(i, None))) for i in range(n)]
+    failures = _arch_edit_failures(tmp_path, capsys, mnist, edits)
+    assert not failures, "\n".join(map(str, failures))
+
+
+def test_every_arch_entry_added(tmp_path, capsys, mnist):
+    """Each of ``ARCH_INSERTS`` inserted before each arch entry and after the
+    last."""
+    n = len(_small_checkpoint().arch)
+    edits = [(("insert", i, entry["kind"]), lambda arch, i=i, entry=entry: arch.insert(i, entry))
+             for i in range(n + 1) for entry in ARCH_INSERTS]
+    failures = _arch_edit_failures(tmp_path, capsys, mnist, edits)
     assert not failures, "\n".join(map(str, failures))
 
 
