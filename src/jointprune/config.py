@@ -36,6 +36,8 @@ class Experiment:
     def __post_init__(self):
         if self.train_subset is not None and self.train_subset < 1:
             raise ConfigError(f"data.train_subset must be >= 1, got {self.train_subset}")
+        if not 0.0 <= self.tolerable_drop <= 1.0:
+            raise ConfigError(f"prune.tolerable_drop must be in [0,1], got {self.tolerable_drop}")
 
     def _read(self, name):
         """The ``name`` split (``train`` or ``test``) of the preset's dataset."""

@@ -12,34 +12,36 @@ forward keeps no backward state.  skip_save and skip_add are kind markers
 with no forward or backward: the network carries their branch through a
 pass.
 
-Conv lowers to (C*k*k, oh*ow*B) im2col columns, filled straight from the
-unpadded input with each kernel tap clipped to the output positions that
-read real input; each tap copies rows of B elements and zeros only the
-entries that read padding, so no buffer is cleared first.  The GEMM runs
-in one call over all units of the output, one BLAS GEMM per unit: a
+One window rule serves conv and pooling: a k x k window at stride s over
+a (C, H, W, B) array padded by p (``_padded``) is read as its k*k strided
+tap views (``_taps``), in (i, j) row-major order, and a gradient scattered
+into such a padded array is cropped back (``_cropped``).
+
+Conv lowers to (C*k*k, oh*ow*B) im2col columns: a single sample's in one
+strided copy from the windows of its zero-padded copy, a batch's straight
+from the unpadded input with each kernel tap clipped to the output
+positions that read real input, so no buffer is cleared first.  The GEMM
+runs in one call over all units of the output, one BLAS GEMM per unit: a
 single sample's whole output, else one output row of the batch, or one
 output position when a row's columns would outgrow the input.  Train and
-eval forwards run one block loop: a train forward lowers the whole
-output as one block and keeps its columns for backward; an eval forward
-streams blocks of whole units through one column buffer bounded by
-``EVAL_COLS_BYTES``.  Both make the same per-unit calls, so they give
-the same bytes, and the output already has the (C, H, W, B) layout.
-Backward computes ``dw`` in one GEMM over all columns and scatters
-``dx`` back through the matching clipped col2im into (C, H, W, B); the
-first weight layer of a network skips ``dx``.  The effective-MAC counter
-uses the same im2col.  A single sample's columns are instead copied in
-one strided pass from the windows of a zero-padded copy of the input,
-with the same bytes.
+eval forwards run one block loop: a train forward lowers the whole output
+as one block and keeps its columns for backward; an eval forward streams
+blocks of whole units through one column buffer bounded by
+``EVAL_COLS_BYTES``.  Both make the same per-unit calls, so they give the
+same bytes, and the output already has the (C, H, W, B) layout.  Backward
+computes ``dw`` in one GEMM over all columns and scatter-adds ``dx``
+through the taps of a zeroed padded gradient; the first weight layer of a
+network skips ``dx``.  The effective-MAC counter sums the taps of its
+padded nonzero counts.
 
 An eval-mode fc forward of a single sample through a large layer with few
 nonzero inputs multiplies only the weight rows of those inputs (see
 ``Dense.forward``); every other fc forward is the dense ``x @ w + b``.
 
-Pooling reduces the k*k strided window taps of a padded (C, H, W, B) copy
-one at a time, in (i, j) row-major order, with no window tensor.
-Nested-loop, padded-im2col and NCHW-tap references live in the test suite
-and must agree exactly at f64 (byte for byte where the arithmetic is
-unchanged).
+Pooling reduces the taps of its padded input one at a time, with no
+window tensor.  Nested-loop, padded-im2col and NCHW-tap references live in
+the test suite and must agree exactly at f64 (byte for byte where the
+arithmetic is unchanged).
 """
 
 from __future__ import annotations
@@ -157,6 +159,30 @@ def _out_window(kind, g, k, in_shape):
     return oh, ow
 
 
+def _padded(x4, p, fill):
+    """The (C, H + 2p, W + 2p, B) copy of a (C, H, W, B) array, padded with
+    ``fill``; an unpadded one is only made contiguous (a no-op when it is)."""
+    if not p:
+        return np.ascontiguousarray(x4)
+    c, h, w, b = x4.shape
+    xp = np.full((c, h + 2 * p, w + 2 * p, b), fill, dtype=x4.dtype)
+    xp[:, p:p + h, p:p + w] = x4
+    return xp
+
+
+def _taps(xp, k, s, oh, ow):
+    """Strided views of a padded (C, H, W, B) array, one per window offset
+    (i, j) of a k x k window at stride s, in row-major order; view (i, j)
+    holds element (i, j) of every window of the oh x ow output."""
+    return [xp[:, i:i + s * oh:s, j:j + s * ow:s] for i in range(k) for j in range(k)]
+
+
+def _cropped(dxp, p):
+    """The (B, C, H, W) view of a padded (C, H, W, B) gradient, cropped by
+    the pad."""
+    return dxp[:, p:dxp.shape[1] - p, p:dxp.shape[2] - p].transpose(3, 0, 1, 2)
+
+
 def _tap_span(n_in, n_out, off, s):
     """Output positions [lo, hi) whose input index o*s + off lies in
     [0, n_in), and the input slice they read."""
@@ -166,78 +192,54 @@ def _tap_span(n_in, n_out, off, s):
     return slice(lo, hi), slice(first, first + s * (hi - lo), s)
 
 
-def _conv_taps(h, w, ys, xs, k, s, p, row0=0):
-    """Per kernel tap (i, j), row-major: the part of the output window
-    ``ys`` x ``xs`` (ranges) that reads the unpadded input, relative to the
-    window, and the input rows and columns it reads, with rows counted from
-    input row ``row0`` (empty for a tap that sees only padding)."""
-    x_spans = [_tap_span(w, len(xs), xs.start * s + j - p, s) for j in range(k)]
-    for i in range(k):
-        out_y, rows = _tap_span(h, len(ys), ys.start * s + i - p - row0, s)
-        for j, (out_x, cols) in enumerate(x_spans):
-            yield i, j, (out_y, out_x), (rows, cols)
-
-
-def _im2col(x4, k, s, p, ys, xs, buf=None):
+def _im2col(x4, k, s, p, ys, xs, buf):
     """Columns of the output window ``ys`` x ``xs`` (ranges) of a conv over
-    the (C, H, W, B) input ``x4``: a (C*k*k, len(ys)*len(xs)*B) array, row
+    the (C, H, W, B) input ``x4``, filled into the front of the flat
+    ``buf`` whatever it held: a (C*k*k, len(ys)*len(xs)*B) array, row
     (c, i, j), column (y, x, b), so every tap copies rows of B elements.
-    Each tap writes its clipped input window and zeros only the entries
-    that read padding, so the columns may fill the front of any flat
-    ``buf`` (or an array of their own) whatever it held.  An input whose
-    batch is not innermost (an NCHW array viewed as (C, H, W, B)) has only
-    the rows this window reads transposed.  A single sample (B == 1) is
-    instead copied once from a (c, i, j, y, x) view of the k x k windows
-    of a contiguous zero-padded copy of the input (the input itself when
-    unpadded and contiguous), made from that copy's strides, with the same
-    bytes."""
+    Each kernel tap (i, j), row-major, writes its input window clipped to
+    the output positions that read the unpadded input and zeros only the
+    entries that read padding.  An input whose batch is not innermost (an
+    NCHW array viewed as (C, H, W, B)) has only the rows this window reads
+    transposed.  A single sample (B == 1) is instead copied once from a
+    (c, i, j, y, x) view of the k x k windows of its contiguous zero-padded
+    copy, made from that copy's strides, with the same bytes."""
     c, h, w, b = x4.shape
     ny, nx = len(ys), len(xs)
     shape = (c, k, k, ny, nx, b)
-    cols = np.empty(shape, x4.dtype) if buf is None else buf[:math.prod(shape)].reshape(shape)
+    cols = buf[:math.prod(shape)].reshape(shape)
     if b == 1:
         # a single sample fills its columns in one strided copy from the
         # k x k windows of a zero-padded copy: the k*k tap copies of a few
-        # hundred elements each cost more in calls than in bytes
-        if p:
-            xp = np.zeros((c, h + 2 * p, w + 2 * p), x4.dtype)
-            xp[:, p:p + h, p:p + w] = x4[..., 0]
-        else:
-            xp = np.ascontiguousarray(x4[..., 0])
-        # the (c, i, j, y, x) windows as a view of xp's buffer with xp's
+        # hundred elements each cost more in calls than in bytes.  The
+        # (c, i, j, y, x) windows are a view of xp's buffer with xp's
         # strides: 0.3 us, where sliding_window_view, its slicing and its
         # transpose take 8 us; nothing but this copy reads the view
-        sc, sy, sx = xp.strides
+        xp = _padded(x4, p, 0)
+        sc, sy, sx, _ = xp.strides
         cols[..., 0] = np.ndarray(shape[:-1], xp.dtype, xp, ys.start * s * sy + xs.start * s * sx,
                                   (sc, sy, sx, s * sy, s * sx))
         return cols.reshape(c * k * k, -1)
+    # a batch copies each tap straight from the input rows it reads: a
+    # padded copy of the whole batch slows the stride-2 layers 1.2-1.7x
     row0 = max(0, ys.start * s - p)
     xb = x4[:, row0:max(row0, (ys.stop - 1) * s - p + k)]
-    if b > 1 and xb.strides[-1] != xb.itemsize:
+    if xb.strides[-1] != xb.itemsize:
         xb = np.ascontiguousarray(xb)
-    for i, j, (oy, ox), (rows, xcols) in _conv_taps(xb.shape[1], w, ys, xs, k, s, p, row0):
-        cols[:, i, j, oy, ox] = xb[:, rows, xcols]
-        if oy.start:
-            cols[:, i, j, :oy.start] = 0
-        if oy.stop < ny:
-            cols[:, i, j, oy.stop:] = 0
-        if ox.start:
-            cols[:, i, j, oy, :ox.start] = 0
-        if ox.stop < nx:
-            cols[:, i, j, oy, ox.stop:] = 0
+    x_spans = [_tap_span(w, nx, xs.start * s + j - p, s) for j in range(k)]
+    for i in range(k):
+        oy, rows = _tap_span(xb.shape[1], ny, ys.start * s + i - p - row0, s)
+        for j, (ox, xcols) in enumerate(x_spans):
+            cols[:, i, j, oy, ox] = xb[:, rows, xcols]
+            if oy.start:
+                cols[:, i, j, :oy.start] = 0
+            if oy.stop < ny:
+                cols[:, i, j, oy.stop:] = 0
+            if ox.start:
+                cols[:, i, j, oy, :ox.start] = 0
+            if ox.stop < nx:
+                cols[:, i, j, oy, ox.stop:] = 0
     return cols.reshape(c * k * k, -1)
-
-
-def _col2im(dcols, x_shape, oh, ow, k, s, p):
-    """Scatter-add the inverse of :func:`_im2col` over the whole oh x ow
-    output into a (C, H, W, B) array, returned as its (B, C, H, W) view;
-    taps add in (i, j) row-major order and padding is dropped."""
-    b, c, h, w = x_shape
-    dc = dcols.reshape(c, k, k, oh, ow, b)
-    dx4 = np.zeros((c, h, w, b), dtype=dcols.dtype)
-    for i, j, (oy, ox), (rows, xcols) in _conv_taps(h, w, range(oh), range(ow), k, s, p):
-        dx4[:, rows, xcols] += dc[:, i, j, oy, ox]
-    return dx4.transpose(3, 0, 1, 2)
 
 
 def _unit_gemm(w2, cols, n, out2):
@@ -411,7 +413,7 @@ class Conv2d(Layer):
 
     def backward(self, dout, input_grad=True):
         g = self.spec.geometry
-        x_shape, cols = self._cache
+        (b, c, h, w), cols = self._cache
         # no copy when dout is batch-innermost, as every layer returns it
         dout2 = np.ascontiguousarray(dout.transpose(1, 2, 3, 0)).reshape(g["out_ch"], -1)
         # cols @ dout2.T runs 1.2-1.7x faster than dout2 @ cols.T on the preset layers
@@ -419,6 +421,8 @@ class Conv2d(Layer):
         self.b.grad = dout2.sum(axis=1)
         if not input_grad:
             return None
+        k, s, p = g["kernel"], g["stride"], g["pad"]
+        oh, ow = dout.shape[2:]
         w2t = self.w.value.reshape(g["out_ch"], -1).T
         if len(w2t) > 1:
             dcols = w2t @ dout2
@@ -427,10 +431,15 @@ class Conv2d(Layer):
             # gemv, which rounds its last few columns by their position; it
             # runs over the columns in NCHW (sample-major) order, so dx has
             # the bytes of the same conv on an NCHW batch
-            b, _, oh, ow = dout.shape
             nchw = np.ascontiguousarray(dout.transpose(1, 0, 2, 3)).reshape(len(dout2), -1)
             dcols = (w2t @ nchw).reshape(b, oh, ow).transpose(1, 2, 0).reshape(1, -1)
-        return _col2im(dcols, x_shape, *dout.shape[2:], g["kernel"], g["stride"], g["pad"])
+        # scatter-add each tap's columns into a zeroed padded gradient, in
+        # (i, j) row-major order, then crop the pad off
+        dxp = np.zeros((c, h + 2 * p, w + 2 * p, b), dtype=dcols.dtype)
+        tap_cols = dcols.reshape(c, k * k, oh, ow, b).swapaxes(0, 1)
+        for dt, dc in zip(_taps(dxp, k, s, oh, ow), tap_cols):
+            dt += dc
+        return _cropped(dxp, p)
 
 
 class _Pool(Layer):
@@ -438,49 +447,21 @@ class _Pool(Layer):
     copy of the input one at a time, in (i, j) row-major order, with no
     window tensor; every tap pass runs over rows of B elements."""
 
-    pad_value = 0.0
-
     def out_shape(self, in_shape):
         g = self.spec.geometry
         if len(in_shape) != 3:
             raise ShapeError(f"{self.kind} expects (C, H, W) input, got {in_shape}")
         return (in_shape[0], *_out_window(self.kind, g, g["window"], in_shape))
 
-    def _padded(self, x):
-        """The (C, H + 2p, W + 2p, B) copy of an input, padded with
-        ``pad_value``; an unpadded batch-innermost input is used as is."""
-        self.out_shape(x.shape[1:])  # raises ShapeError on an empty output
-        p = self.spec.geometry["pad"]
-        x4 = x.transpose(1, 2, 3, 0)
-        if not p:
-            return np.ascontiguousarray(x4)
-        c, h, w, b = x4.shape
-        xp = np.full((c, h + 2 * p, w + 2 * p, b), self.pad_value, dtype=x.dtype)
-        xp[:, p:p + h, p:p + w] = x4
-        return xp
-
-    def _taps(self, xp):
-        """Strided views of a padded (C, H, W, B) array, one per window
-        offset (i, j) in row-major order; view (i, j) holds element (i, j)
-        of every window."""
-        g = self.spec.geometry
-        k, s, p = g["window"], g["stride"], g["pad"]
-        _, oh, ow = self.out_shape((xp.shape[0], xp.shape[1] - 2 * p, xp.shape[2] - 2 * p))
-        return [xp[:, i:i + s * oh:s, j:j + s * ow:s] for i in range(k) for j in range(k)]
-
-    def _input_grad(self, dxp):
-        """The (B, C, H, W) view of a padded gradient, cropped by the pad."""
-        p = self.spec.geometry["pad"]
-        return dxp[:, p:dxp.shape[1] - p, p:dxp.shape[2] - p].transpose(3, 0, 1, 2)
-
 
 class MaxPool2d(_Pool):
     kind = "maxpool"
-    pad_value = -np.inf
 
     def forward(self, x, train=False, rng=None):
-        xp = self._padded(x)
-        taps = self._taps(xp)
+        g = self.spec.geometry
+        _, oh, ow = self.out_shape(x.shape[1:])
+        xp = _padded(x.transpose(1, 2, 3, 0), g["pad"], -np.inf)
+        taps = _taps(xp, g["window"], g["stride"], oh, ow)
         out = taps[0].copy()
         for t in taps[1:]:
             # np.maximum returns its second operand on a tie (+0.0 vs -0.0),
@@ -491,11 +472,13 @@ class MaxPool2d(_Pool):
 
     def backward(self, dout):
         """Route each gradient to the first maximal window position."""
+        g = self.spec.geometry
         xp, out = self._cache
         bits = np.ascontiguousarray(dout.transpose(1, 2, 3, 0)).view(f"u{dout.itemsize}")
         dxp = np.zeros(xp.shape, dtype=dout.dtype)
         free = np.ones(out.shape, dtype=bool)
-        for t, dt in zip(self._taps(xp), self._taps(dxp)):
+        window = (g["window"], g["stride"], *out.shape[1:3])
+        for t, dt in zip(_taps(xp, *window), _taps(dxp, *window)):
             hit = t == out
             hit &= free
             free ^= hit
@@ -503,15 +486,17 @@ class MaxPool2d(_Pool):
             # gives it but without a branch per element: the bit pattern
             # times 0 or 1
             dt += np.multiply(bits, hit, dtype=bits.dtype).view(dout.dtype)
-        return self._input_grad(dxp)
+        return _cropped(dxp, g["pad"])
 
 
 class AvgPool2d(_Pool):
     kind = "avgpool"
 
     def forward(self, x, train=False, rng=None):
-        xp = self._padded(x)
-        taps = self._taps(xp)
+        g = self.spec.geometry
+        _, oh, ow = self.out_shape(x.shape[1:])
+        xp = _padded(x.transpose(1, 2, 3, 0), g["pad"], 0.0)
+        taps = _taps(xp, g["window"], g["stride"], oh, ow)
         out = taps[0] + 0.0  # sum from +0.0 like np.mean: an all -0.0 window gives +0.0
         for t in taps[1:]:
             out += t
@@ -520,12 +505,13 @@ class AvgPool2d(_Pool):
         return out.transpose(3, 0, 1, 2)
 
     def backward(self, dout):
+        g = self.spec.geometry
         dxp = np.zeros(self._cache, dtype=dout.dtype)
-        taps = self._taps(dxp)
+        taps = _taps(dxp, g["window"], g["stride"], *dout.shape[2:])
         share = np.ascontiguousarray(dout.transpose(1, 2, 3, 0)) / len(taps)
         for dt in taps:
             dt += share
-        return self._input_grad(dxp)
+        return _cropped(dxp, g["pad"])
 
 
 class ReLU(Layer):

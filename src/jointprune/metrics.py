@@ -19,7 +19,7 @@ import numpy as np
 
 from .checkpoint import _replacing
 from .errors import ConfigError, JointPruneError
-from .layers import _im2col, build_layer, fc
+from .layers import _padded, _taps, build_layer, fc
 from .sparsity import WinnerRateConfig
 
 try:
@@ -31,11 +31,10 @@ except ImportError:  # pragma: no cover
 def weight_layer_names(net):
     """Stable display names for the weight layers: conv1, conv2, ..., fc1, ..."""
     names, counts = {}, {"fc": 0, "conv": 0}
-    for i, layer in enumerate(net.layers):
-        if layer.params:
-            prefix = "fc" if layer.kind == "fc" else "conv"
-            counts[prefix] += 1
-            names[i] = f"{prefix}{counts[prefix]}"
+    for i, _ in net.weight_params():
+        prefix = "fc" if net.layers[i].kind == "fc" else "conv"
+        counts[prefix] += 1
+        names[i] = f"{prefix}{counts[prefix]}"
     return names
 
 
@@ -108,12 +107,14 @@ def _effective_macs_conv(x, layer, wmask):
     g = layer.spec.geometry
     k, s, p = g["kernel"], g["stride"], g["pad"]
     _, oh, ow = layer.out_shape(x.shape[1:])
-    # per input position, the samples where it is nonzero; then one
-    # batch-1 im2col gives each (element, output position) pair's count
+    # per input position, the samples where it is nonzero; then each
+    # weight element (c, i, j) pairs with the counts that its window tap
+    # (i, j) of the zero-padded counts holds for channel c
     nz = np.count_nonzero(x, axis=0).astype(np.int64)[..., None]
-    cols = _im2col(nz, k, s, p, range(oh), range(ow))
+    taps = _taps(_padded(nz, p, 0), k, s, oh, ow)
+    per_tap = np.stack([t.sum(axis=(1, 2, 3)) for t in taps], axis=1)
     per_elem = np.count_nonzero(wmask.reshape(g["out_ch"], -1), axis=0)
-    return int(per_elem @ cols.sum(axis=1))
+    return int(per_elem @ per_tap.ravel())
 
 
 def count_effective_macs(net, batch):
@@ -126,8 +127,6 @@ def count_effective_macs(net, batch):
     """
     batch = np.asarray(batch, dtype=net.dtype)
     names = weight_layer_names(net)
-    if not names:
-        raise ConfigError("the network has no fc or conv2d layer to count MACs of")
     result = net.forward(batch, mode="eval", keep=[i - 1 for i in names if i])
     report = MacReport()
     b = batch.shape[0]

@@ -112,8 +112,12 @@ class Network:
             self.mask_cfg = saved
 
     def weight_params(self):
-        """(layer_index, weight) pairs: the first param of each layer with params."""
-        return [(i, layer.params[0]) for i, layer in enumerate(self.layers) if layer.params]
+        """(layer_index, weight) pairs: the first param of each layer with
+        params.  ConfigError when there is none: the weight density and the
+        MAC counts divide by the weights."""
+        if pairs := [(i, layer.params[0]) for i, layer in enumerate(self.layers) if layer.params]:
+            return pairs
+        raise ConfigError("the network has no fc or conv2d layer")
 
     def params(self):
         return [p for layer in self.layers for p in layer.params]

@@ -32,8 +32,10 @@ class Optimizer:
 class SGD(Optimizer):
     def __init__(self, params, lr=0.1, momentum=0.0):
         super().__init__(params)
-        if lr <= 0:
+        if not lr > 0:  # written so that NaN fails too
             raise ConfigError(f"lr must be > 0, got {lr}")
+        if not 0.0 <= momentum < 1.0:
+            raise ConfigError(f"momentum must be in [0,1), got {momentum}")
         self.lr = lr
         self.momentum = momentum
         self.velocity = [np.zeros_like(p.value) for p in self.params]
@@ -59,9 +61,11 @@ class Adadelta(Optimizer):
 
     def __init__(self, params, lr=1.0, rho=0.95, eps=1e-6):
         super().__init__(params)
+        if not lr > 0:
+            raise ConfigError(f"lr must be > 0, got {lr}")
         if not 0.0 < rho < 1.0:
             raise ConfigError(f"rho must be in (0,1), got {rho}")
-        if eps <= 0:
+        if not eps > 0:
             raise ConfigError(f"eps must be > 0, got {eps}")
         self.lr = lr
         self.rho = rho

@@ -47,9 +47,11 @@ class TrainConfig:
             _make_opt(name, self, [], lr)
         if not 0.01 <= self.lr_scale <= 1.0:
             raise ConfigError(f"lr_scale must be in [0.01, 1], got {self.lr_scale}")
-        for name in ("baseline_epochs", "warmup_epochs", "finetune_epochs"):
+        for name in ("baseline_epochs", "warmup_epochs", "finetune_epochs", "prune_ramp_epochs"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0")
+        if not self.l1_strength >= 0:
+            raise ConfigError(f"l1_strength must be >= 0, got {self.l1_strength}")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
         if self.seed < 0:

@@ -128,6 +128,15 @@ def test_config_errors(tmp_path):
         load_experiment(_write(tmp_path, "- model\n"))
 
 
+@pytest.mark.parametrize("value", ["-1", ".nan", "1.5"])
+def test_a_tolerable_drop_outside_zero_one_is_rejected(tmp_path, value):
+    """A negative or NaN tolerance used to load and make every layer fall
+    back to rate 1.0 with only a warning; an accuracy drop is in [0, 1]."""
+    with pytest.raises(ConfigError, match=re.escape("prune.tolerable_drop must be in [0,1]")):
+        load_experiment(_write(tmp_path, f"model: mlp3\ndata: {{dir: /d}}\n"
+                                         f"prune: {{tolerable_drop: {value}}}\n"))
+
+
 @pytest.mark.parametrize("text", [
     "data: {dir: 5}",
     "data: {dir: /d}\noutputs: 5",

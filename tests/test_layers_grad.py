@@ -332,9 +332,9 @@ def test_eval_conv_whole_batch_in_one_block_is_one_lowering(rng):
 def test_single_sample_im2col_matches_the_tap_path_bytewise(rng):
     """A single sample's columns, filled in one strided copy, equal the
     columns the tap path lowers for the same sample inside a batch of two,
-    byte for byte: f32, f64 and int64 (the MAC counter's lowering), NaN,
-    +-inf and +-0.0, batch-innermost and NCHW inputs, whole outputs and
-    output windows, into a fresh array or a buffer full of garbage."""
+    byte for byte: f32, f64 and int64, NaN, +-inf and +-0.0, batch-innermost
+    and NCHW inputs, whole outputs and output windows, into a fresh buffer
+    or one full of garbage."""
     for trial, (_, c, h, w, _, k, s, p) in enumerate(_conv_geometries(rng, 80)):
         oh, ow = (h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1
         y0, y1 = sorted(int(v) for v in rng.integers(0, oh, size=2))
@@ -347,10 +347,11 @@ def test_single_sample_im2col_matches_the_tap_path_bytewise(rng):
                 x = _special(rng, (2, c, h, w), dtype)
             for x4 in (x.transpose(1, 2, 3, 0), np.ascontiguousarray(x.transpose(1, 2, 3, 0))):
                 for ys, xs in windows:
-                    pair = L._im2col(x4, k, s, p, ys, xs).reshape(c * k * k, -1, 2)
-                    buf = np.full(c * k * k * len(ys) * len(xs), 7, dtype)
-                    for one in (L._im2col(x4[..., :1], k, s, p, ys, xs),
-                                L._im2col(x4[..., :1], k, s, p, ys, xs, buf)):
+                    n = c * k * k * len(ys) * len(xs)
+                    pair = L._im2col(x4, k, s, p, ys, xs, np.empty(2 * n, dtype))
+                    pair = pair.reshape(c * k * k, -1, 2)
+                    for buf in (np.empty(n, dtype), np.full(n, 7, dtype)):
+                        one = L._im2col(x4[..., :1], k, s, p, ys, xs, buf)
                         assert one.shape == pair.shape[:2], (trial, dtype)
                         assert one.tobytes() == np.ascontiguousarray(pair[..., 0]).tobytes(), (
                             trial, dtype, ys, xs)

@@ -302,15 +302,16 @@ def test_skip_wiring_is_checked_at_construction():
 
 def test_backward_skips_first_weight_layer_input_gradient(rng, monkeypatch):
     """No gradient below the first weight layer is read: a conv layer 0
-    runs no col2im, and a first fc layer (after a flatten) computes no dx."""
+    scatters no padded input gradient, and a first fc layer (after a
+    flatten) computes no dx."""
     scattered = []
-    col2im = L._col2im
-    monkeypatch.setattr(L, "_col2im", lambda dcols, x_shape, *geometry: (
-        scattered.append(x_shape) or col2im(dcols, x_shape, *geometry)))
+    cropped = L._cropped
+    monkeypatch.setattr(L, "_cropped", lambda dxp, p: (
+        scattered.append(dxp.shape) or cropped(dxp, p)))
     net = Network([L.conv2d(1, 2, 3, 1, 1), L.relu(), L.conv2d(2, 3, 3, 1, 1),
                    L.flatten(), L.fc(48, 4)], (1, 4, 4), dtype=np.float64)
     loss_and_backward(net, rng.standard_normal((3, 1, 4, 4)), [0, 1, 3])
-    assert scattered == [(3, 2, 4, 4)]  # layer 2's dx only
+    assert scattered == [(2, 6, 6, 3)]  # layer 2's padded (C, H, W, B) dx only
     assert net.backward(np.ones((3, 4))) is None
 
     net = Network([L.flatten(), L.fc(12, 5), L.relu(), L.fc(5, 3)], (1, 3, 4))

@@ -2,6 +2,7 @@
 reconciliation, prune ramp and joint finetuning on small synthetic data."""
 
 import logging
+import math
 import re
 import tracemalloc
 
@@ -374,10 +375,21 @@ def test_train_config_validation():
     ({"optimizer": "sgd", "rho": 1.5}, "rho must be in (0,1), got 1.5"),
     ({"optimizer": "sgd", "eps": -1.0}, "eps must be > 0, got -1.0"),
     ({"optimizer": "sgd", "lr": 0.0}, "lr must be > 0, got 0.0"),
-], ids=["target-above-one", "target-zero", "sgd-rho", "sgd-eps", "sgd-lr"])
+    ({"lr": -1.0}, "lr must be > 0, got -1.0"),
+    ({"lr": math.nan}, "lr must be > 0, got nan"),
+    ({"adadelta_lr": 0.0}, "lr must be > 0, got 0.0"),
+    ({"eps": math.nan}, "eps must be > 0, got nan"),
+    ({"optimizer": "sgd", "momentum": 7.0}, "momentum must be in [0,1), got 7.0"),
+    ({"l1_strength": -1.0}, "l1_strength must be >= 0, got -1.0"),
+    ({"l1_strength": math.nan}, "l1_strength must be >= 0, got nan"),
+    ({"prune_ramp_epochs": -3}, "prune_ramp_epochs must be >= 0"),
+], ids=["target-above-one", "target-zero", "sgd-rho", "sgd-eps", "sgd-lr", "lr-negative",
+        "lr-nan", "adadelta-lr-zero", "eps-nan", "sgd-momentum", "l1-negative", "l1-nan",
+        "ramp-negative"])
 def test_train_config_rejects_values_training_would_fail_on(kw, needle):
     """Checked when the config is built, by the optimizers' own checks for
-    every optimizer training builds (an sgd run finetunes with Adadelta)."""
+    every optimizer training builds (an sgd run finetunes with Adadelta),
+    with comparisons that a NaN fails."""
     with pytest.raises(ConfigError, match=re.escape(needle)):
         TrainConfig(**kw)
 

@@ -189,6 +189,20 @@ def test_every_arch_entry_added(tmp_path, capsys, mnist):
     assert not failures, "\n".join(map(str, failures))
 
 
+def test_prune_of_a_network_with_no_weight_layer(tmp_path, capsys, mnist):
+    """``prune`` of the small checkpoint without rates cut to its flatten,
+    which has no fc or conv2d layer, under a config with no winner rate or
+    weight target to reject: one error line, where the weight density of
+    the first epoch's record divided by zero."""
+    doc = {**mnist, "prune": {"winner_rates": {}, "weight_targets": {}, "finetune_epochs": 1}}
+    cfg = _write_config(tmp_path / "exp.yaml", doc)
+    path, failures = tmp_path / "m.ckpt", []
+    write_edited_checkpoint(path, dataclasses.replace(_small_checkpoint(), winner_cfg=None),
+                            edit_meta(lambda d: d["arch"].__delitem__(slice(1, None))))
+    _run(["prune", cfg, "--checkpoint", str(path)], capsys, "flatten alone", failures)
+    assert not failures, "\n".join(map(str, failures))
+
+
 # ">f4" reads the little-endian bytes swapped, which may give NaN weights
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_every_param_dtype(tmp_path, capsys, mnist):
