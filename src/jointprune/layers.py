@@ -39,7 +39,12 @@ nonzero inputs multiplies only the weight rows of those inputs (see
 ``Dense.forward``); every other fc forward is the dense ``x @ w + b``.
 
 Pooling reduces the taps of its padded input one at a time, with no
-window tensor.  Nested-loop, padded-im2col and NCHW-tap references live in
+window tensor, and runs its tap loop, forward and backward, one block of
+whole channels at a time: as many as fit ``BLOCK_BYTES`` (256 KB) of the
+padded input, so that the tap passes over a block find it in L2 cache (a
+single sample is one block).  Channels are independent and each element
+keeps its tap order, so blocks change no byte; convnet5's 3x3/s1 max pool
+backward at batch 100 went from 21-25 to 14 ms.  Nested-loop, padded-im2col and NCHW-tap references live in
 the test suite and must agree exactly at f64 (byte for byte where the
 arithmetic is unchanged).
 """
@@ -177,6 +182,17 @@ def _taps(xp, k, s, oh, ow):
     return [xp[:, i:i + s * oh:s, j:j + s * ow:s] for i in range(k) for j in range(k)]
 
 
+def _channel_blocks(xp):
+    """Channel slices of a padded (C, H, W, B) array, each of as many whole
+    channels as fit ``BLOCK_BYTES`` (at least one), so that a pass
+    over a block's taps finds the block still in cache.  A single sample
+    (B == 1) is one block: it is small, and there every call costs more
+    than its bytes."""
+    c, b = xp.shape[0], xp.shape[-1]
+    per = c if b == 1 else max(1, BLOCK_BYTES // xp[0].nbytes)
+    return [slice(c0, c0 + per) for c0 in range(0, c, per)]
+
+
 def _cropped(dxp, p):
     """The (B, C, H, W) view of a padded (C, H, W, B) gradient, cropped by
     the pad."""
@@ -263,6 +279,21 @@ def _unit_gemm(w2, cols, n, out2):
 # hundreds of MB at batch 500 (196 MB for lenet4's conv2), and then page
 # faults and cache misses, not the GEMM, set the eval speed.
 EVAL_COLS_BYTES = 4 << 20
+
+# Byte budget of the blocks a train step's memory-bound passes run in: a
+# pooling layer's k*k tap passes, forward and backward, run one block of
+# whole channels of the padded input at a time (``_channel_blocks``), and
+# an optimizer update one flat chunk of each param (``optim``), so that the
+# few block-sized arrays a pass reads and writes stay in a 2 MB L2 cache.
+# Channels pool independently and every element keeps its tap order and
+# its op order, so the bytes do not depend on the budget.  Measured (ms,
+# whole arrays/256 KB blocks, f32, batch 100, one core of a 2-vCPU x86
+# host, in process): convnet5's 3x3/s1/p1 max pool over 64x12x12 (5 MB
+# padded input, 22 blocks of 3 channels) 5.9/4.5 forward and 21-25/14
+# backward; its Adadelta update 9.2-10.1/5.0-5.5, lenet4's 11.9-12.6/6.1-6.3;
+# its whole dense train step 115-118/98-100.  Budgets of 128 KB and 512 KB
+# to 1 MB were slower on the max pool or the update.
+BLOCK_BYTES = 256 << 10
 
 # Weight count from which a batch-1 eval fc forward gathers the weight rows
 # of its nonzero inputs when at most a quarter of them are nonzero (see
@@ -445,7 +476,8 @@ class Conv2d(Layer):
 class _Pool(Layer):
     """Pooling reduces the k*k strided window taps of a padded (C, H, W, B)
     copy of the input one at a time, in (i, j) row-major order, with no
-    window tensor; every tap pass runs over rows of B elements."""
+    window tensor, one channel block (``_channel_blocks``) at a time; every
+    tap pass runs over rows of B elements."""
 
     def out_shape(self, in_shape):
         g = self.spec.geometry
@@ -461,12 +493,16 @@ class MaxPool2d(_Pool):
         g = self.spec.geometry
         _, oh, ow = self.out_shape(x.shape[1:])
         xp = _padded(x.transpose(1, 2, 3, 0), g["pad"], -np.inf)
-        taps = _taps(xp, g["window"], g["stride"], oh, ow)
-        out = taps[0].copy()
-        for t in taps[1:]:
-            # np.maximum returns its second operand on a tie (+0.0 vs -0.0),
-            # so the running max keeps the first maximal value, as argmax did
-            np.maximum(t, out, out=out)
+        out = np.empty((len(xp), oh, ow, len(x)), dtype=x.dtype)
+        for blk in _channel_blocks(xp):
+            taps = _taps(xp[blk], g["window"], g["stride"], oh, ow)
+            o = out[blk]
+            np.copyto(o, taps[0])
+            for t in taps[1:]:
+                # np.maximum returns its second operand on a tie (+0.0 vs
+                # -0.0), so the running max keeps the first maximal value, as
+                # argmax did
+                np.maximum(t, o, out=o)
         self._cache = (xp, out) if train else None
         return out.transpose(3, 0, 1, 2)
 
@@ -476,16 +512,18 @@ class MaxPool2d(_Pool):
         xp, out = self._cache
         bits = np.ascontiguousarray(dout.transpose(1, 2, 3, 0)).view(f"u{dout.itemsize}")
         dxp = np.zeros(xp.shape, dtype=dout.dtype)
-        free = np.ones(out.shape, dtype=bool)
         window = (g["window"], g["stride"], *out.shape[1:3])
-        for t, dt in zip(_taps(xp, *window), _taps(dxp, *window)):
-            hit = t == out
-            hit &= free
-            free ^= hit
-            # the gradient on a hit, +0.0 elsewhere, as np.where(hit, dout, 0)
-            # gives it but without a branch per element: the bit pattern
-            # times 0 or 1
-            dt += np.multiply(bits, hit, dtype=bits.dtype).view(dout.dtype)
+        for blk in _channel_blocks(xp):
+            o, bb = out[blk], bits[blk]
+            free = np.ones(o.shape, dtype=bool)
+            for t, dt in zip(_taps(xp[blk], *window), _taps(dxp[blk], *window)):
+                hit = t == o
+                hit &= free
+                free ^= hit
+                # the gradient on a hit, +0.0 elsewhere, as np.where(hit,
+                # dout, 0) gives it but without a branch per element: the
+                # bit pattern times 0 or 1
+                dt += np.multiply(bb, hit, dtype=bb.dtype).view(dout.dtype)
         return _cropped(dxp, g["pad"])
 
 
@@ -496,21 +534,28 @@ class AvgPool2d(_Pool):
         g = self.spec.geometry
         _, oh, ow = self.out_shape(x.shape[1:])
         xp = _padded(x.transpose(1, 2, 3, 0), g["pad"], 0.0)
-        taps = _taps(xp, g["window"], g["stride"], oh, ow)
-        out = taps[0] + 0.0  # sum from +0.0 like np.mean: an all -0.0 window gives +0.0
-        for t in taps[1:]:
-            out += t
-        out /= len(taps)
+        out = np.empty((len(xp), oh, ow, len(x)), dtype=x.dtype)
+        for blk in _channel_blocks(xp):
+            taps = _taps(xp[blk], g["window"], g["stride"], oh, ow)
+            o = out[blk]
+            # sum from +0.0 like np.mean: an all -0.0 window gives +0.0
+            np.add(taps[0], 0.0, out=o)
+            for t in taps[1:]:
+                o += t
+            o /= len(taps)
         self._cache = xp.shape if train else None
         return out.transpose(3, 0, 1, 2)
 
     def backward(self, dout):
         g = self.spec.geometry
         dxp = np.zeros(self._cache, dtype=dout.dtype)
-        taps = _taps(dxp, g["window"], g["stride"], *dout.shape[2:])
-        share = np.ascontiguousarray(dout.transpose(1, 2, 3, 0)) / len(taps)
-        for dt in taps:
-            dt += share
+        window = (g["window"], g["stride"], *dout.shape[2:])
+        d4 = dout.transpose(1, 2, 3, 0)
+        for blk in _channel_blocks(dxp):
+            taps = _taps(dxp[blk], *window)
+            share = d4[blk] / len(taps)
+            for dt in taps:
+                dt += share
         return _cropped(dxp, g["pad"])
 
 

@@ -267,16 +267,3 @@ def emit_report(table, path):
                 writer.writerow([str(c) for c in row])
     except OSError as e:
         raise JointPruneError(f"cannot write report to {path}: {e}") from None
-
-
-def read_report(path):
-    """Parse an emitted CSV back into (header, rows-of-strings)."""
-    try:
-        with open(path, newline="") as f:
-            reader = csv.reader(f)
-            rows = list(reader)
-    except OSError as e:
-        raise JointPruneError(f"cannot read report from {path}: {e}") from None
-    if not rows:
-        raise JointPruneError(f"{path}: empty report file")
-    return rows[0], rows[1:]

@@ -1,7 +1,8 @@
 """Writers of the files the loaders read, MNIST IDX files, CIFAR-10 binary
 batches and checkpoints with a hand-edited payload, for tests that run on
-synthetic data."""
+synthetic data, and a reader of the CSV reports the commands write."""
 
+import csv
 import json
 import struct
 import zlib
@@ -68,3 +69,10 @@ def edit_meta(change):
         meta = json.dumps(doc).encode()
         return [struct.pack("<I", len(meta)), meta, *parts[2:]]
     return edit
+
+
+def read_report(path):
+    """An emitted CSV report as (header, rows of strings)."""
+    with open(path, newline="") as f:
+        header, *rows = csv.reader(f)
+    return header, rows

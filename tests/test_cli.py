@@ -13,11 +13,10 @@ from jointprune.cli import main
 from jointprune.config import load_experiment
 from jointprune.datasets import mnist_paths
 from jointprune.layers import fc, flatten
-from jointprune.metrics import read_report
 from jointprune.models import get_preset
 from jointprune.network import Network
 
-from datafiles import edit_meta, write_cifar10, write_edited_checkpoint, write_mnist
+from datafiles import edit_meta, read_report, write_cifar10, write_edited_checkpoint, write_mnist
 
 
 @pytest.fixture(scope="module")

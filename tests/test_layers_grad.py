@@ -412,22 +412,30 @@ def test_conv_weight_grad_matches_naive_finite_differences(rng):
         assert np.max(np.abs(got - fd) / np.maximum(np.abs(fd), 1e-3)) < 1e-4, trial
 
 
-def test_pool_kernels_match_tap_oracle_bytewise(rng):
-    """Max and avg pool forward and backward equal the NCHW padded-tap
-    oracles byte for byte at f32 and f64, for overlapping (stride < window)
-    and other windows, with ties, NaN, inf and signed zeros in the input and
-    in the gradient."""
+def _pools_match_tap_oracle(rng, trials, channels=(1, 5), blocked=None):
+    """Max and avg pool forward and backward against the NCHW padded-tap
+    oracles, byte for byte, on ``trials`` random geometries at f32 and f64
+    with ties, NaN, inf and signed zeros in the input and in the gradient;
+    returns the set of layouts seen (overlapping windows or not).  With
+    ``blocked`` (a monkeypatch), each case's channel blocks hold a random
+    1 to C - 1 of its C channels, so that a case of two or more channels
+    and samples spans several blocks, the last one maybe ragged."""
     layouts = set()
     with np.errstate(invalid="ignore"):
-        for trial in range(160):
+        for trial in range(trials):
             k = int(rng.integers(1, 5))
             s, p = int(rng.integers(1, 5)), int(rng.integers(0, k + 1))
             h, w = (int(v) for v in rng.integers(1, 11, size=2))
             if h + 2 * p < k or w + 2 * p < k:
                 continue
             layouts.add(s < k)
-            shape = (int(rng.integers(1, 4)), int(rng.integers(1, 5)), h, w)
+            shape = (int(rng.integers(1, 4)), int(rng.integers(*channels)), h, w)
+            if blocked is not None:
+                per = int(rng.integers(1, max(2, shape[1])))
             for dtype in (np.float32, np.float64):
+                if blocked is not None:
+                    channel_bytes = (h + 2 * p) * (w + 2 * p) * shape[0] * np.dtype(dtype).itemsize
+                    blocked.setattr(L, "BLOCK_BYTES", per * channel_bytes)
                 for spec, fwd, bwd in ((L.maxpool, maxpool_taps, maxpool_backward_taps),
                                        (L.avgpool, avgpool_taps, avgpool_backward_taps)):
                     layer = L.build_layer(spec(k, s, p), None, dtype)
@@ -437,7 +445,61 @@ def test_pool_kernels_match_tap_oracle_bytewise(rng):
                     dout = _special(rng, out.shape, dtype)
                     dx = layer.backward(dout)
                     assert _same_bits(dx, bwd(x, dout, k, s, p)), trial
-    assert layouts == {True, False}
+    return layouts
+
+
+def test_pool_kernels_match_tap_oracle_bytewise(rng):
+    """Max and avg pool forward and backward equal the NCHW padded-tap
+    oracles byte for byte at f32 and f64, for overlapping (stride < window)
+    and other windows, with ties, NaN, inf and signed zeros in the input and
+    in the gradient."""
+    assert _pools_match_tap_oracle(rng, 160) == {True, False}
+
+
+def _recorded_blocks(monkeypatch):
+    """Wrap ``layers._channel_blocks`` so that each call records its
+    array's channel count, batch size and channel block sizes."""
+    seen = []
+    fn = L._channel_blocks
+
+    def record(xp):
+        blocks = fn(xp)
+        seen.append((xp.shape[0], xp.shape[-1], [len(range(xp.shape[0])[b]) for b in blocks]))
+        return blocks
+
+    monkeypatch.setattr(L, "_channel_blocks", record)
+    return seen
+
+
+def test_pool_channel_blocks_match_tap_oracle_bytewise(rng, monkeypatch):
+    """The tap-oracle comparison above with the block budget cut to 1 to
+    C - 1 channels of each case: every pass of two or more channels and
+    samples runs several channel blocks, ragged ones among them, and the
+    bytes do not change.  A single sample is one block whatever the
+    budget."""
+    seen = _recorded_blocks(monkeypatch)
+    assert _pools_match_tap_oracle(rng, 80, channels=(1, 7), blocked=monkeypatch) == {True, False}
+    for c, b, sizes in seen:
+        assert len(sizes) == (1 if b == 1 else c // sizes[0] + (c % sizes[0] > 0)), (c, b)
+        assert (len(sizes) > 1) == (c > 1 and b > 1), (c, b, sizes)
+    assert any(len(sizes) > 2 for _, _, sizes in seen)
+    assert any(sizes[-1] < sizes[0] for _, _, sizes in seen)
+
+
+def test_convnet5_sized_pool_spans_blocks_at_the_real_budget(rng, monkeypatch):
+    """convnet5's 3x3/s1/p1 pools at batch 100 over 64x12x12 f32 inputs,
+    forward and backward, equal the NCHW tap oracles byte for byte at the
+    real block budget, which splits such an input into many blocks."""
+    seen = _recorded_blocks(monkeypatch)
+    x = _special(rng, (100, 64, 12, 12), np.float32)
+    dout = _special(rng, x.shape, np.float32)
+    with np.errstate(invalid="ignore"):
+        for spec, fwd, bwd in ((L.maxpool, maxpool_taps, maxpool_backward_taps),
+                               (L.avgpool, avgpool_taps, avgpool_backward_taps)):
+            layer = L.build_layer(spec(3, 1, 1), None, np.float32)
+            assert _same_bits(layer.forward(x, train=True), fwd(x, 3, 1, 1)), spec
+            assert _same_bits(layer.backward(dout), bwd(x, dout, 3, 1, 1)), spec
+    assert len(seen) == 4 and all(len(sizes) > 8 for _, _, sizes in seen)
 
 
 def _batch_innermost(a):

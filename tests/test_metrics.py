@@ -16,13 +16,13 @@ from jointprune.metrics import (
     bench_condensed_fc,
     count_effective_macs,
     emit_report,
-    read_report,
     weight_layer_names,
 )
 from jointprune.models import get_preset
 from jointprune.network import Network
 from jointprune.sparsity import WinnerRateConfig
 
+from datafiles import read_report
 from oracles import (
     effective_macs_conv_bruteforce,
     effective_macs_conv_int64,
@@ -228,15 +228,6 @@ def test_failed_report_write_keeps_previous_report(tmp_path, monkeypatch, fault)
     monkeypatch.undo()
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["r.csv"]
-
-
-def test_read_report_errors(tmp_path):
-    with pytest.raises(JointPruneError):
-        read_report(tmp_path / "missing.csv")
-    empty = tmp_path / "zero.csv"
-    empty.write_text("")
-    with pytest.raises(JointPruneError, match="empty"):
-        read_report(empty)
 
 
 def test_speedup_record_math():

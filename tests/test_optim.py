@@ -5,6 +5,7 @@ import pytest
 
 from jointprune.errors import ConfigError, DivergenceError
 from jointprune.optim import SGD, Adadelta, make_optimizer
+from jointprune import layers as L
 from jointprune.layers import Param
 
 from oracles import adadelta_scalar_reference
@@ -90,3 +91,76 @@ def test_make_optimizer():
         Adadelta([p], rho=1.0)
     with pytest.raises(ConfigError):
         Adadelta([p], eps=0.0)
+
+
+def _whole_array_sgd(values, grads, masks, velocity, lr, momentum):
+    """The update as one whole-array pass per param, then the mask products."""
+    for w, g, v in zip(values, grads, velocity):
+        if momentum:
+            v *= momentum
+            v -= lr * g
+            w += v
+        else:
+            w -= lr * g
+    for w, m in zip(values, masks):
+        if m is not None:
+            w *= m
+
+
+def _whole_array_adadelta(values, grads, masks, acc_grad, acc_delta, lr, rho, eps):
+    for w, g, ag, ad in zip(values, grads, acc_grad, acc_delta):
+        ag *= rho
+        ag += (1.0 - rho) * g * g
+        delta = -np.sqrt(ad + eps) / np.sqrt(ag + eps) * g
+        ad *= rho
+        ad += (1.0 - rho) * delta * delta
+        w += lr * delta
+    for w, m in zip(values, masks):
+        if m is not None:
+            w *= m
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kind", ["sgd", "sgd-momentum", "adadelta"])
+def test_chunked_update_matches_whole_array_update_bytewise(rng, monkeypatch, dtype, kind):
+    """With chunks of 61 elements, params that span several chunks and a
+    ragged tail (masked and not), one shorter than a chunk and a conv
+    weight whose gradient is not contiguous get, step after step, the
+    value and state bytes of the whole-array update, with signed zero
+    gradients in the mix."""
+    monkeypatch.setattr(L, "BLOCK_BYTES", 61 * np.dtype(dtype).itemsize)
+    shapes = [(37, 29), (29,), (7, 5, 3, 3), (400,)]
+    params = [Param(f"p{i}", rng.standard_normal(s).astype(dtype)) for i, s in enumerate(shapes)]
+    for i in (0, 2):
+        params[i].set_mask(rng.random(shapes[i]) > 0.4)
+    if kind == "adadelta":
+        opt = Adadelta(params, lr=0.7, rho=0.9, eps=1e-6)
+    else:
+        opt = SGD(params, lr=0.05, momentum=0.9 if kind == "sgd-momentum" else 0.0)
+    values = [p.value.copy() for p in params]
+    masks = [p.mask for p in params]
+    state = [[np.zeros_like(v) for v in values] for _ in opt.state]
+    for _ in range(4):
+        grads = [rng.standard_normal(s).astype(dtype) for s in shapes]
+        grads[2] = np.ascontiguousarray(grads[2].reshape(7, -1).T).T.reshape(shapes[2])
+        for g in grads[:2]:
+            g[rng.random(g.shape) < 0.1] = 0.0
+            g[rng.random(g.shape) < 0.1] = -0.0
+        for p, g in zip(params, grads):
+            p.grad = g
+        opt.step()
+        if kind == "adadelta":
+            _whole_array_adadelta(values, grads, masks, *state, opt.lr, opt.rho, opt.eps)
+        else:
+            _whole_array_sgd(values, grads, masks, *state, opt.lr, opt.momentum)
+        for p, v in zip(params, values):
+            assert p.value.tobytes() == v.tobytes(), p.name
+        for mine, want in zip(opt.state, state):
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(mine, want))
+    assert not grads[2].flags.c_contiguous
+    assert all(p.value.size > 61 for p in params[::2]) and params[1].value.size < 61
+
+
+def test_optimizers_on_no_params_step():
+    for opt in (SGD([], lr=0.1), Adadelta([], lr=1.0)):
+        opt.step()
