@@ -27,14 +27,12 @@ import json
 import math
 import os
 import struct
-import typing
 import zlib
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .errors import CheckpointError, ConfigError
-from .fields import cast_field
 from .layers import LayerSpec
 from .network import Network
 from .sparsity import WinnerRateConfig
@@ -116,16 +114,15 @@ def network_from_checkpoint(ckpt):
 
 def winner_cfg_from_dict(d):
     """The :class:`WinnerRateConfig` that ``checkpoint_from_network`` stored
-    as ``d``, each field cast by ``cast_field``; an absent field takes the
-    dataclass default.  A non-mapping, a missing ``per_layer_rate``, an
-    unknown field or a value the cast or the config rejects raises
+    as ``d``, each field cast and checked by the config's own rules; an
+    absent field takes the dataclass default.  A non-mapping, a missing
+    ``per_layer_rate``, an unknown field or a value a rule rejects raises
     ``CheckpointError``."""
     if not isinstance(d, dict) or not isinstance(d.get("per_layer_rate"), dict):
         raise CheckpointError(f"checkpoint winner_cfg {d!r} lacks a per_layer_rate mapping")
-    hints = typing.get_type_hints(WinnerRateConfig)
     try:
-        return WinnerRateConfig(**{k: cast_field(hints[k], v) for k, v in d.items()})
-    except (ConfigError, KeyError, TypeError, ValueError) as e:
+        return WinnerRateConfig(**d)
+    except (ConfigError, TypeError) as e:
         raise CheckpointError(f"malformed checkpoint winner_cfg {d!r}: {e}") from None
 
 

@@ -17,6 +17,7 @@ from . import checkpoint as ckpt_io
 from . import metrics, pipeline
 from .config import load_experiment
 from .errors import ConfigError, JointPruneError
+from .fields import AT_LEAST_ONE, check
 from .sparsity import PREDICTED_THRESHOLD
 
 MODES = ["dense", "jp"]  # the models a command can read: see _load_net
@@ -98,8 +99,7 @@ def cmd_eval(exp, args):
 
 
 def cmd_report_macs(exp, args):
-    if args.batch < 1:
-        raise ConfigError(f"--batch must be >= 1, got {args.batch}")
+    check("--batch", args.batch, int, **AT_LEAST_ONE)
     net = _load_net(exp, args)
     batch = exp.load_test().images[: args.batch]
     report = metrics.count_effective_macs(net, batch)

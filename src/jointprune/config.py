@@ -1,21 +1,20 @@
 """Experiment configuration: a YAML file tying together model, data,
 training hyperparameters and sparsity settings.
 
-Unknown keys or sections, unknown models, malformed values and missing
-required keys raise :class:`ConfigError` naming the offending key path.
+An unknown key or section, a missing required key and a value its field's
+rule rejects (``fields.check``) raise :class:`ConfigError` naming the key.
 """
 
 from __future__ import annotations
 
 import os
-import typing
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import yaml
 
 from . import datasets
 from .errors import ConfigError
-from .fields import cast_field
+from .fields import ANY, AT_LEAST_ONE, CLOSED_UNIT, check, check_fields, rules, setting
 from .models import get_preset
 from .pipeline import TrainConfig
 from .sparsity import WinnerRateConfig
@@ -26,18 +25,14 @@ class Experiment:
     preset: object
     train_cfg: TrainConfig
     mask_cfg: WinnerRateConfig
-    data_dir: str
-    out_dir: str  # default runs/<model>
-    val_size: int = 10000
-    train_subset: int | None = None
-    rate_grid: list[float] = field(default_factory=lambda: [0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 1.0])
-    tolerable_drop: float = 0.01
+    data_dir: str = setting(ANY, "data.dir")
+    out_dir: str = setting(ANY, "outputs")  # default runs/<model>
+    val_size: int = setting(ANY, "data.val_size", 10000)  # checked against the data
+    train_subset: int | None = setting(AT_LEAST_ONE, "data.train_subset", None)
+    rate_grid: list[float] = setting(ANY, "prune.rate_grid", (0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 1.0))
+    tolerable_drop: float = setting(CLOSED_UNIT, "prune.tolerable_drop", 0.01)
 
-    def __post_init__(self):
-        if self.train_subset is not None and self.train_subset < 1:
-            raise ConfigError(f"data.train_subset must be >= 1, got {self.train_subset}")
-        if not 0.0 <= self.tolerable_drop <= 1.0:
-            raise ConfigError(f"prune.tolerable_drop must be in [0,1], got {self.tolerable_drop}")
+    __post_init__ = check_fields
 
     def _read(self, name):
         """The ``name`` split (``train`` or ``test``) of the preset's dataset."""
@@ -62,38 +57,13 @@ class Experiment:
 
 
 # Every accepted YAML key, as a dotted path, and the (dataclass, field) its
-# value lands on, cast to that field's type by ``cast_field`` (a value of
-# another kind is rejected, not converted); an absent key keeps the field's
-# default.  ``model`` and ``train.base_dropout`` also pick the preset, whose
-# own maps the two per-layer keys take when absent or ``reference``.
-KEYS = {
-    "model": (Experiment, "preset"),
-    "seed": (TrainConfig, "seed"),  # also WinnerRateConfig.offset_seed
-    "outputs": (Experiment, "out_dir"),
-    "data.dir": (Experiment, "data_dir"),
-    "data.val_size": (Experiment, "val_size"),
-    "data.train_subset": (Experiment, "train_subset"),
-    "train.optimizer": (TrainConfig, "optimizer"),
-    "train.lr": (TrainConfig, "lr"),
-    "train.momentum": (TrainConfig, "momentum"),
-    "train.rho": (TrainConfig, "rho"),
-    "train.eps": (TrainConfig, "eps"),
-    "train.baseline_epochs": (TrainConfig, "baseline_epochs"),
-    "train.batch_size": (TrainConfig, "batch_size"),
-    "train.base_dropout": (TrainConfig, "base_dropout"),
-    "prune.winner_rates": (WinnerRateConfig, "per_layer_rate"),
-    "prune.weight_targets": (TrainConfig, "weight_target_density"),
-    "prune.l1_strength": (TrainConfig, "l1_strength"),
-    "prune.lr_scale": (TrainConfig, "lr_scale"),
-    "prune.adadelta_lr": (TrainConfig, "adadelta_lr"),
-    "prune.warmup_epochs": (TrainConfig, "warmup_epochs"),
-    "prune.finetune_epochs": (TrainConfig, "finetune_epochs"),
-    "prune.prune_ramp_epochs": (TrainConfig, "prune_ramp_epochs"),
-    "prune.rate_grid": (Experiment, "rate_grid"),
-    "prune.tolerable_drop": (Experiment, "tolerable_drop"),
-    "sparsity.downsample_rate": (WinnerRateConfig, "downsample_rate"),
-    "sparsity.selection_mode": (WinnerRateConfig, "selection_mode"),
-}
+# value lands on: each field names its key beside its rule
+# (``fields.setting``).  An absent key keeps the field's default.  ``model``
+# and ``train.base_dropout`` also pick the preset, whose own maps the two
+# per-layer keys take when absent or ``reference``.
+KEYS = {"model": (Experiment, "preset")} | {
+    f.metadata["key"]: (owner, f.name) for owner in (TrainConfig, WinnerRateConfig, Experiment)
+    for f in fields(owner) if f.metadata.get("key")}
 SECTIONS = {key.split(".")[0] for key in KEYS if "." in key}
 
 
@@ -132,10 +102,7 @@ def load_experiment(path):
     kw = {TrainConfig: {}, WinnerRateConfig: {}, Experiment: {}}
     for key, value in values.items():
         owner, name = KEYS[key]
-        try:
-            kw[owner][name] = cast_field(typing.get_type_hints(owner)[name], value)
-        except (AttributeError, TypeError, ValueError):
-            raise ConfigError(f"config key {key}: invalid value {value!r}") from None
+        kw[owner][name] = check(key, value, *rules(owner)[name])
     train_kw, mask_kw, exp_kw = kw.values()
 
     dropout = train_kw.get("base_dropout")
@@ -143,7 +110,10 @@ def load_experiment(path):
     train_kw["base_dropout"] = preset.base_dropout
     train_kw.setdefault("weight_target_density", dict(preset.weight_targets))
     mask_kw.setdefault("per_layer_rate", dict(preset.reference_rates))
-    train_cfg = TrainConfig(**train_kw)
+    try:
+        train_cfg = TrainConfig(**train_kw)
+    except ConfigError as e:  # each value passed above: what is left is sgd's momentum rule
+        raise ConfigError(f"train.{e}") from None
     mask_cfg = WinnerRateConfig(**mask_kw, offset_seed=train_cfg.seed)
     exp_kw.setdefault("out_dir", os.path.join("runs", model))
     return Experiment(preset, train_cfg, mask_cfg, **exp_kw)

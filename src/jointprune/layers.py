@@ -51,30 +51,28 @@ arithmetic is unchanged).
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .fields import cast_field
+from .fields import ANY, AT_LEAST_ONE, FRACTION, NON_NEGATIVE, OPEN_UNIT, check
 
 
-# every geometry key each kind reads without a default: the type
-# ``cast_field`` casts its value to, the test the cast value must pass, and
-# that test in words
-_COUNT = (int, lambda v: v >= 1, "an int >= 1")
-_PAD = (int, lambda v: v >= 0, "an int >= 0")
+# every geometry key each kind reads without a default: the type its value
+# is cast to and the rule the cast value must pass (see ``fields.check``)
+_COUNT = (int, AT_LEAST_ONE)
+_PAD = (int, NON_NEGATIVE)
 _POOL = {"window": _COUNT, "stride": _COUNT, "pad": _PAD}
-_TAG = {"tag": (str, lambda v: True, "a str")}
+_TAG = {"tag": (str, ANY)}
 _GEOMETRY = {
     "fc": {"n_in": _COUNT, "n_out": _COUNT},
     "conv2d": {"in_ch": _COUNT, "out_ch": _COUNT, "kernel": _COUNT, "stride": _COUNT, "pad": _PAD},
     "maxpool": _POOL,
     "avgpool": _POOL,
-    "leaky_relu": {"slope": (float, lambda v: 0.0 < v < 1.0, "in (0,1)")},
-    "dropout": {"rate": (float, lambda v: 0.0 <= v < 1.0, "in [0,1)")},
+    "leaky_relu": {"slope": (float, OPEN_UNIT)},
+    "dropout": {"rate": (float, FRACTION)},
     "skip_save": _TAG,
     "skip_add": _TAG,
 }
@@ -100,13 +98,8 @@ class LayerSpec:
         rules = _GEOMETRY.get(self.kind, {})
         if missing := [k for k in rules if k not in self.geometry]:
             raise ConfigError(f"{self.kind} layer geometry lacks {', '.join(missing)}")
-        for key, (hint, test, words) in rules.items():
-            value = self.geometry[key]
-            with contextlib.suppress(TypeError, ValueError, AttributeError):
-                if test(cast := cast_field(hint, value)):
-                    self.geometry[key] = cast
-                    continue
-            raise ConfigError(f"{self.kind} {key} must be {words}, got {value!r}")
+        for key, (hint, rule) in rules.items():
+            self.geometry[key] = check(f"{self.kind} {key}", self.geometry[key], hint, **rule)
 
 
 def fc(n_in, n_out):

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .checkpoint import _replacing
-from .errors import ConfigError, JointPruneError
+from .errors import JointPruneError
+from .fields import AT_LEAST_ONE, RATE, check
 from .layers import _padded, _taps, build_layer, fc
 from .sparsity import WinnerRateConfig
 
@@ -219,9 +220,8 @@ def bench_condensed_fc(n_in, n_out, rate, trials=100, warmup=10, seed=0):
     sample.  Single thread, median of ``trials`` runs after warm-up; the
     masked forward is checked against ``x @ w + b`` before timing.
     """
-    if trials < 1:
-        raise ConfigError("trials must be >= 1")
-    cfg = WinnerRateConfig(per_layer_rate={0: rate})
+    check("trials", trials, int, **AT_LEAST_ONE)
+    cfg = WinnerRateConfig(per_layer_rate={0: check("winner rate", rate, float, **RATE)})
     rng = np.random.default_rng(seed)
     layer = build_layer(fc(n_in, n_out), rng, np.float32)
     a = rng.standard_normal((1, n_in)).astype(np.float32)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
+from .fields import check, one_of
 from .layers import (
     avgpool,
     conv2d,
@@ -132,7 +133,7 @@ def leaky6(base_dropout=0.0):
     """Six weight layers with leaky-ReLU and one additive skip; no intrinsic
     activation zeros, so every winner mask works on dense tensors."""
     if base_dropout:
-        raise ConfigError("leaky6 has no dropout layers; base_dropout must be 0")
+        raise ConfigError("leaky6 has no dropout layers: train.base_dropout must be 0")
     specs = [
         conv2d(3, 32, 3, stride=1, pad=1),    # 0
         leaky_relu(),                         # 1  masked
@@ -169,6 +170,4 @@ PRESETS = {
 
 
 def get_preset(name, **kwargs):
-    if not isinstance(name, str) or name not in PRESETS:
-        raise ConfigError(f"unknown model {name!r}; choose from {sorted(PRESETS)}")
-    return PRESETS[name](**kwargs)
+    return PRESETS[check("model", name, str, **one_of(*PRESETS))](**kwargs)

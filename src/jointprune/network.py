@@ -11,13 +11,13 @@ outlives the call.
 
 from __future__ import annotations
 
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 from functools import partial
 
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .fields import cast_field
+from .fields import AT_LEAST_ONE, check
 from .layers import LAYER_CLASSES, LayerSpec
 from .sparsity import WinnerRateConfig
 
@@ -44,11 +44,9 @@ class Network:
         """Owns copies of ``specs`` and of ``input_shape``, one or more dims
         each cast to an int >= 1.  After the shape and skip checks, each param
         is made once: drawn from ``seed``, or copied from ``stored(i, name, shape)``."""
-        self.input_shape = ()
-        with suppress(TypeError, ValueError, AttributeError):
-            self.input_shape = tuple(cast_field(int, d) for d in input_shape)
-        if min(self.input_shape, default=0) < 1:
-            raise ConfigError(f"input shape must be one or more ints >= 1, got {input_shape!r}")
+        self.input_shape = tuple(check("input shape", input_shape, list[int], **AT_LEAST_ONE))
+        if not self.input_shape:
+            raise ConfigError(f"input shape must have one or more dims, got {input_shape!r}")
         self.specs = [LayerSpec(s.kind, dict(s.geometry)) for s in specs]
         if not self.specs:
             raise ConfigError("a network needs at least one layer")

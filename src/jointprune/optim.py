@@ -18,7 +18,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import layers
-from .errors import ConfigError, DivergenceError
+from .errors import DivergenceError
+from .fields import FRACTION, OPEN_UNIT, POSITIVE, check, one_of
 
 
 class Optimizer:
@@ -69,12 +70,8 @@ class Optimizer:
 class SGD(Optimizer):
     def __init__(self, params, lr=0.1, momentum=0.0):
         super().__init__(params)
-        if not lr > 0:  # written so that NaN fails too
-            raise ConfigError(f"lr must be > 0, got {lr}")
-        if not 0.0 <= momentum < 1.0:
-            raise ConfigError(f"momentum must be in [0,1), got {momentum}")
-        self.lr = lr
-        self.momentum = momentum
+        self.lr = check("lr", lr, float, **POSITIVE)
+        self.momentum = check("momentum", momentum, float, **FRACTION)
         self.velocity = [np.zeros_like(p.value) for p in self.params]
         self.state = [self.velocity]
 
@@ -105,15 +102,9 @@ class Adadelta(Optimizer):
 
     def __init__(self, params, lr=1.0, rho=0.95, eps=1e-6):
         super().__init__(params)
-        if not lr > 0:
-            raise ConfigError(f"lr must be > 0, got {lr}")
-        if not 0.0 < rho < 1.0:
-            raise ConfigError(f"rho must be in (0,1), got {rho}")
-        if not eps > 0:
-            raise ConfigError(f"eps must be > 0, got {eps}")
-        self.lr = lr
-        self.rho = rho
-        self.eps = eps
+        self.lr = check("lr", lr, float, **POSITIVE)
+        self.rho = check("rho", rho, float, **OPEN_UNIT)
+        self.eps = check("eps", eps, float, **POSITIVE)
         self.acc_grad = [np.zeros_like(p.value) for p in self.params]
         self.acc_delta = [np.zeros_like(p.value) for p in self.params]
         self.state = [self.acc_grad, self.acc_delta]
@@ -145,10 +136,9 @@ class Adadelta(Optimizer):
 
 
 OPTIMIZERS = {"sgd": SGD, "adadelta": Adadelta}
+OPTIMIZER_NAMES = one_of(*OPTIMIZERS)
 
 
 def make_optimizer(name, params, **hyper):
     """Optimizer ``name``, a key of ``OPTIMIZERS`` (else ``ConfigError``)."""
-    if not isinstance(name, str) or name not in OPTIMIZERS:
-        raise ConfigError(f"unknown optimizer {name!r}; choose from {sorted(OPTIMIZERS)}")
-    return OPTIMIZERS[name](params, **hyper)
+    return OPTIMIZERS[check("optimizer", name, str, **OPTIMIZER_NAMES)](params, **hyper)

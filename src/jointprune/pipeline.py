@@ -13,9 +13,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigError, DivergenceError
+from .fields import (ANY, AT_LEAST_ONE, FRACTION, NON_NEGATIVE, OPEN_UNIT, POSITIVE, RATE, check,
+                     check_fields, one_of, setting)
 from .metrics import SparsityStats, nonzero_count
 from .network import loss_and_backward
-from .optim import make_optimizer
+from .optim import OPTIMIZER_NAMES, make_optimizer
 from .sparsity import WinnerRateConfig, prune_weights_by_magnitude, threshold_for_target_density
 
 log = logging.getLogger(__name__)
@@ -24,44 +26,28 @@ EVAL_BATCH = 500  # samples per evaluation forward
 
 @dataclass
 class TrainConfig:
-    optimizer: str = "adadelta"
-    lr: float = 1.0                 # original-model learning rate
-    momentum: float = 0.9           # sgd only
-    rho: float = 0.95               # adadelta only
-    eps: float = 1e-6
-    l1_strength: float = 1e-5       # alpha
-    lr_scale: float = 0.1           # warm-up lr multiplier vs original
-    adadelta_lr: float = 0.1        # pruning-phase adadelta lr
-    baseline_epochs: int = 20
-    warmup_epochs: int = 1
-    finetune_epochs: int = 10
-    prune_ramp_epochs: int = 4
-    batch_size: int = 100
-    base_dropout: float | None = None  # C_d; None: joint_finetune keeps the dropout rates as built
-    weight_target_density: dict[int, float] | None = None
-    seed: int = 0
+    optimizer: str = setting(OPTIMIZER_NAMES, "train.optimizer", "adadelta")
+    lr: float = setting(POSITIVE, "train.lr", 1.0)  # original-model learning rate
+    momentum: float = setting(ANY, "train.momentum", 0.9)  # sgd only
+    rho: float = setting(OPEN_UNIT, "train.rho", 0.95)  # adadelta only
+    eps: float = setting(POSITIVE, "train.eps", 1e-6)
+    l1_strength: float = setting(NON_NEGATIVE, "prune.l1_strength", 1e-5)  # alpha
+    lr_scale: float = setting({"test": lambda v: 0.01 <= v <= 1, "words": "in [0.01,1]"},
+                              "prune.lr_scale", 0.1)  # warm-up lr multiplier vs original
+    adadelta_lr: float = setting(POSITIVE, "prune.adadelta_lr", 0.1)  # pruning-phase lr
+    baseline_epochs: int = setting(NON_NEGATIVE, "train.baseline_epochs", 20)
+    warmup_epochs: int = setting(NON_NEGATIVE, "prune.warmup_epochs", 1)
+    finetune_epochs: int = setting(NON_NEGATIVE, "prune.finetune_epochs", 10)
+    prune_ramp_epochs: int = setting(NON_NEGATIVE, "prune.prune_ramp_epochs", 4)
+    batch_size: int = setting(AT_LEAST_ONE, "train.batch_size", 100)
+    base_dropout: float | None = setting(FRACTION, "train.base_dropout", None)  # C_d; None: as is
+    weight_target_density: dict[int, float] | None = setting(RATE, "prune.weight_targets", None)
+    seed: int = setting(NON_NEGATIVE, "seed", 0)  # also WinnerRateConfig.offset_seed
 
     def __post_init__(self):
-        # the optimizers check their own settings: build each one training uses
-        for name, lr in ((self.optimizer, self.lr), ("adadelta", self.adadelta_lr)):
-            _make_opt(name, self, [], lr)
-        if not 0.01 <= self.lr_scale <= 1.0:
-            raise ConfigError(f"lr_scale must be in [0.01, 1], got {self.lr_scale}")
-        for name in ("baseline_epochs", "warmup_epochs", "finetune_epochs", "prune_ramp_epochs"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0")
-        if not self.l1_strength >= 0:
-            raise ConfigError(f"l1_strength must be >= 0, got {self.l1_strength}")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be an int >= 0, got {self.seed}")
-        if self.base_dropout is not None and not 0.0 <= self.base_dropout < 1.0:
-            raise ConfigError(f"base_dropout must be in [0,1), got {self.base_dropout}")
-        for layer, density in (self.weight_target_density or {}).items():
-            if not 0.0 < density <= 1.0:
-                raise ConfigError(f"weight target of layer {layer} must be in (0,1], "
-                                  f"got {density}")
+        check_fields(self)
+        if self.optimizer == "sgd":  # the one rule that reads another field
+            check("momentum", self.momentum, float, **FRACTION)
 
 
 @dataclass
@@ -114,8 +100,7 @@ def evaluate(net, split, mode="jp", stat_layers=None):
     the same tensors are compared across modes; an index that names no
     layer of ``net`` is a ``ConfigError``.
     """
-    if mode not in ("dense", "jp"):
-        raise ConfigError(f"unknown eval mode {mode!r}")
+    check("mode", mode, str, **one_of("dense", "jp"))
     cfg = net.mask_cfg
     if mode == "jp" and cfg is None:
         raise ConfigError("jp mode requires a winner-rate config on the network")
@@ -173,12 +158,12 @@ def sensitivity_sweep(net, val_split, rates, layers):
     loss of exactly ``tolerable_drop * n`` samples is ``tolerable_drop``
     and is kept.  The drop at rate 1.0 is zero by construction.  ``points``
     follows the order of ``layers``, each layer's points ascend by rate.
-    Every batch is one :meth:`Network.sweep_logits` walk, which rejects a
-    rate outside (0, 1] or an unmaskable layer before any layer runs.
+    A rate outside (0, 1] is rejected first; every batch is one
+    :meth:`Network.sweep_logits` walk, which first rejects an unmaskable layer.
     """
     if len(rates) == 0 or len(val_split) == 0:
         raise ConfigError("sensitivity sweep needs a non-empty rate grid and split")
-    rates = sorted(rates)
+    rates = sorted(check("winner rate", r, float, **RATE) for r in rates)
     swept = [r for r in dict.fromkeys(rates) if r != 1.0]
     base_hits, hits = 0, Counter()
     for idx in minibatches(len(val_split), EVAL_BATCH):
@@ -222,10 +207,8 @@ def choose_winner_rates(curve, tolerable_drop, template=None):
 
 def adjust_dropout(base_rate, winner_rate):
     """Dropout rate scaled by the square root of the layer's winner rate."""
-    if not 0.0 <= base_rate < 1.0:
-        raise ConfigError(f"base dropout must be in [0,1), got {base_rate}")
-    if not 0.0 < winner_rate <= 1.0:
-        raise ConfigError(f"winner rate must be in (0,1], got {winner_rate}")
+    base_rate = check("base dropout", base_rate, float, **FRACTION)
+    winner_rate = check("winner rate", winner_rate, float, **RATE)
     return base_rate * math.sqrt(winner_rate)
 
 

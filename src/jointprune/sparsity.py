@@ -22,11 +22,12 @@ count is then approximate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, ShapeError
+from .fields import ANY, NON_NEGATIVE, RATE, check, check_fields, one_of, setting
 
 EXACT_TOPK = "exact_topk"
 PREDICTED_THRESHOLD = "predicted_threshold"
@@ -44,19 +45,13 @@ class WinnerRateConfig:
     ``predicted_threshold`` mode.
     """
 
-    per_layer_rate: dict[int, float] = field(default_factory=dict)
-    downsample_rate: float = 1.0
-    selection_mode: str = EXACT_TOPK
-    offset_seed: int = 0
+    per_layer_rate: dict[int, float] = setting(RATE, "prune.winner_rates", default_factory=dict)
+    downsample_rate: float = setting(RATE, "sparsity.downsample_rate", 1.0)
+    selection_mode: str = setting(one_of(EXACT_TOPK, PREDICTED_THRESHOLD),
+                                  "sparsity.selection_mode", default=EXACT_TOPK)
+    offset_seed: int = setting(ANY, default=0)
 
-    def __post_init__(self):
-        for idx, rate in self.per_layer_rate.items():
-            if not 0.0 < rate <= 1.0:
-                raise ConfigError(f"winner rate for layer {idx} must be in (0,1], got {rate}")
-        if not 0.0 < self.downsample_rate <= 1.0:
-            raise ConfigError(f"downsample rate must be in (0,1], got {self.downsample_rate}")
-        if self.selection_mode not in (EXACT_TOPK, PREDICTED_THRESHOLD):
-            raise ConfigError(f"unknown selection mode {self.selection_mode!r}")
+    __post_init__ = check_fields
 
     def mask(self, layer, acts):
         """The bool winner mask of layer ``layer``'s output batch ``acts``, or
@@ -203,8 +198,7 @@ def prune_weights_by_magnitude(weights, threshold):
     Monotone in the threshold; composing with an existing mask keeps the
     static-mask guarantee that pruned weights never come back.
     """
-    if threshold < 0:
-        raise ConfigError(f"prune threshold must be >= 0, got {threshold}")
+    check("prune threshold", threshold, float, **NON_NEGATIVE)
     weights = np.asarray(weights)
     return (np.abs(weights) > threshold).astype(weights.dtype)
 
@@ -216,8 +210,7 @@ def threshold_for_target_density(weights, target_density):
     selection uses, on the weights as one (N, 1) column; the achieved
     density is within one weight of the target up to ties.
     """
-    if not 0.0 < target_density <= 1.0:
-        raise ConfigError(f"target density must be in (0,1], got {target_density}")
+    target_density = check("target density", target_density, float, **RATE)
     weights = np.asarray(weights)
     if target_density == 1.0:
         return 0.0

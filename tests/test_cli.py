@@ -143,7 +143,8 @@ def test_cli_failure_paths(tmp_path, capsys):
     bad = tmp_path / "bad.yaml"
     bad.write_text("model: resnet\ndata: {dir: /d}\n")
     assert main(["train-dense", str(bad)]) == 1
-    assert "unknown model" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: model must be a str in {mlp3, lenet4, convnet5, leaky6}, got 'resnet'\n")
 
 
 def _config(tmp_path, data_dir, extra=""):
@@ -225,6 +226,19 @@ def test_cli_negative_seed_is_one_line_error(tmp_path, capsys, command):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("extra, line", [
+    ("prune: {adadelta_lr: 0}\n", "prune.adadelta_lr must be > 0, got 0"),
+    ("train: {lr: 0}\n", "train.lr must be > 0, got 0"),
+    ("train: {optimizer: sgd, momentum: 1}\n", "train.momentum must be in [0,1), got 1.0"),
+], ids=["adadelta-lr", "lr", "sgd-momentum"])
+def test_cli_bad_value_names_its_yaml_key(tmp_path, capsys, extra, line):
+    """``prune.adadelta_lr: 0`` and ``train.lr: 0`` used to print the same
+    ``lr must be > 0, got 0.0``."""
+    assert main(["train-dense", _config(tmp_path, tmp_path, extra)]) == 1
+    assert capsys.readouterr().err == f"error: {line}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def _mnist_config(tmp_path, rng, n_train, n_test, extra=""):
     """A mlp3 config over random IDX files of ``n_train`` and ``n_test``
     digits, with 50 of the training digits held out for validation."""
@@ -242,7 +256,7 @@ def test_cli_unknown_optimizer_is_one_line_error(tmp_path, capsys, rng):
     cfg = _mnist_config(tmp_path, rng, 100, 10,
                         "train: {optimizer: adam, baseline_epochs: 1}\n")
     assert main(["train-dense", cfg]) == 1
-    _one_line_error(capsys, "unknown optimizer 'adam'")
+    _one_line_error(capsys, "train.optimizer must be a str in {sgd, adadelta}, got 'adam'")
     assert not (tmp_path / "out" / "dense.ckpt").exists()
 
 
@@ -337,8 +351,10 @@ def test_cli_test_only_commands_read_only_the_test_files(tmp_path, capsys, rng):
 
 @pytest.mark.parametrize("command, extra, needle", [
     ("prune", "prune: {weight_targets: {2: 0.5}}\n", "weight target of layer 2: not a weight"),
-    ("prune", "prune: {weight_targets: {1: 1.5}}\n", "weight target of layer 1 must be in"),
-    ("prune", "prune: {weight_targets: {1: 0.0}}\n", "weight target of layer 1 must be in"),
+    ("prune", "prune: {weight_targets: {1: 1.5}}\n",
+     "prune.weight_targets must be a dict of int to float in (0,1], got {1: 1.5}"),
+    ("prune", "prune: {weight_targets: {1: 0.0}}\n",
+     "prune.weight_targets must be a dict of int to float in (0,1], got {1: 0.0}"),
     ("train-dense", "train: {optimizer: sgd, rho: 1.5}\n", "rho must be in (0,1), got 1.5"),
     ("train-dense", "train: {optimizer: sgd, eps: -1}\n", "eps must be > 0, got -1"),
 ], ids=["target-on-relu", "target-above-one", "target-zero", "sgd-rho", "sgd-eps"])
@@ -471,7 +487,7 @@ def test_cli_report_macs_on_checkpoint_with_non_float_dtype_is_one_line_error(tm
 
 @pytest.mark.parametrize("edit, needles", [
     (edit_meta(lambda d: d.update(input_shape=[1, "x", 28])),
-     ["input shape must be one or more ints >= 1, got (1, 'x', 28)"]),
+     ["input shape must be a list of int >= 1, got (1, 'x', 28)"]),
     (edit_meta(lambda d: d.pop("param_order")), ["malformed payload: 'param_order'"]),
     (lambda parts: [struct.pack("<I", 8), b"not json", *parts[2:]],
      ["malformed payload: Expecting value"]),
@@ -511,8 +527,8 @@ def test_cli_help_exits_0(capsys):
 @pytest.mark.parametrize("argv, needles", [
     (["bench-fc", "--n-in", "0"], ["fc n_in must be an int >= 1, got 0"]),
     (["bench-fc", "--n-out", "0"], ["fc n_out must be an int >= 1, got 0"]),
-    (["report-macs", "--batch", "-5"], ["--batch must be >= 1, got -5"]),
-    (["report-macs", "--batch", "0"], ["--batch must be >= 1, got 0"]),
+    (["report-macs", "--batch", "-5"], ["--batch must be an int >= 1, got -5"]),
+    (["report-macs", "--batch", "0"], ["--batch must be an int >= 1, got 0"]),
 ], ids=["n-in-0", "n-out-0", "batch-minus-5", "batch-0"])
 def test_cli_size_below_one_is_one_line_error(tmp_path, capsys, argv, needles):
     assert main([argv[0], _config(tmp_path, tmp_path), *argv[1:]]) == 1

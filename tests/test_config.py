@@ -9,10 +9,12 @@ import numpy as np
 import pytest
 import yaml
 
+from jointprune import fields
 from jointprune.cli import main
 from jointprune.config import KEYS, Experiment, load_experiment
 from jointprune.datasets import DatasetSplit, cifar10_paths, train_val_split
 from jointprune.errors import ConfigError
+from jointprune.models import PRESETS
 from jointprune.pipeline import TrainConfig
 from jointprune.sparsity import WinnerRateConfig
 
@@ -93,9 +95,14 @@ def test_config_errors(tmp_path):
         load_experiment(_write(tmp_path, "data: {dir: /d}\n"))
     with pytest.raises(ConfigError, match="data.dir"):
         load_experiment(_write(tmp_path, "model: mlp3\n"))
-    with pytest.raises(ConfigError, match="unknown model"):
+    with pytest.raises(ConfigError, match=re.escape(
+            "leaky6 has no dropout layers: train.base_dropout must be 0")):
+        load_experiment(_write(tmp_path, "model: leaky6\ndata: {dir: /d}\n"
+                                         "train: {base_dropout: 0.5}\n"))
+    models = "model must be a str in {mlp3, lenet4, convnet5, leaky6}"
+    with pytest.raises(ConfigError, match=re.escape(f"{models}, got 'resnet'")):
         load_experiment(_write(tmp_path, "model: resnet\ndata: {dir: /d}\n"))
-    with pytest.raises(ConfigError, match="unknown model"):
+    with pytest.raises(ConfigError, match=re.escape(f"{models}, got ['mlp3']")):
         load_experiment(_write(tmp_path, "model: [mlp3]\ndata: {dir: /d}\n"))
     with pytest.raises(ConfigError, match="cannot read"):
         load_experiment(str(tmp_path / "missing.yaml"))
@@ -104,7 +111,8 @@ def test_config_errors(tmp_path):
     with pytest.raises(ConfigError, match="winner_rates"):
         load_experiment(_write(tmp_path,
                                "model: mlp3\ndata: {dir: /d}\nprune: {winner_rates: 3}\n"))
-    with pytest.raises(ConfigError, match="unknown optimizer 'adam'"):
+    with pytest.raises(ConfigError, match=re.escape(
+            "train.optimizer must be a str in {sgd, adadelta}, got 'adam'")):
         load_experiment(_write(tmp_path,
                                "model: mlp3\ndata: {dir: /d}\ntrain: {optimizer: adam}\n"))
     # keys and sections outside the key table, and values of the wrong kind
@@ -116,13 +124,14 @@ def test_config_errors(tmp_path):
          "unknown config key: sparsity.selection-mode"),
         ("prune.l1_strength: 0.5", "unknown config key: prune.l1_strength"),
         ("train: 5", "config train must be a mapping"),
-        ("outputs: 5", "config key outputs: invalid value 5"),
-        ("sparsity: {selection_mode: 3}", "config key sparsity.selection_mode: invalid"),
-        ("data: {dir: /d, val_size: [1]}", "config key data.val_size: invalid"),
+        ("outputs: 5", "outputs must be a str, got 5"),
+        ("sparsity: {selection_mode: 3}",
+         "sparsity.selection_mode must be a str in {exact_topk, predicted_threshold}, got 3"),
+        ("data: {dir: /d, val_size: [1]}", "data.val_size must be an int, got [1]"),
     ]:
         with pytest.raises(ConfigError, match=re.escape(path)):
             load_experiment(_write(tmp_path, f"model: mlp3\ndata: {{dir: /d}}\n{text}\n"))
-    with pytest.raises(ConfigError, match=re.escape("config key data.dir: invalid value 5")):
+    with pytest.raises(ConfigError, match=re.escape("data.dir must be a str, got 5")):
         load_experiment(_write(tmp_path, "model: mlp3\ndata: {dir: 5}\n"))
     with pytest.raises(ConfigError, match="config file must be a mapping"):
         load_experiment(_write(tmp_path, "- model\n"))
@@ -150,23 +159,26 @@ def test_cli_rejects_a_malformed_config_in_one_line(tmp_path, capsys, text):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
-@pytest.mark.parametrize("text, path", [
-    ("data: {dir: /d}\nseed: 2.9", "seed"),
-    ("data: {dir: /d}\nseed: true", "seed"),
-    ("data: {dir: /d}\ntrain: {batch_size: 100.7}", "train.batch_size"),
-    ("data: {dir: /d}\ntrain: {lr: yes}", "train.lr"),
-    ("data: {dir: /d, train_subset: 10.5}", "data.train_subset"),
-    ("data: {dir: /d}\nprune: {winner_rates: {2: yes}}", "prune.winner_rates"),
-    ("data: {dir: /d}\nprune: {weight_targets: {1.5: 0.5}}", "prune.weight_targets"),
-    ("data: {dir: /d}\nprune: {rate_grid: [0.5, true]}", "prune.rate_grid"),
+@pytest.mark.parametrize("text, line", [
+    ("data: {dir: /d}\nseed: 2.9", "seed must be an int >= 0, got 2.9"),
+    ("data: {dir: /d}\nseed: true", "seed must be an int >= 0, got True"),
+    ("data: {dir: /d}\ntrain: {batch_size: 100.7}",
+     "train.batch_size must be an int >= 1, got 100.7"),
+    ("data: {dir: /d}\ntrain: {lr: yes}", "train.lr must be > 0, got True"),
+    ("data: {dir: /d, train_subset: 10.5}", "data.train_subset must be an int >= 1, got 10.5"),
+    ("data: {dir: /d}\nprune: {winner_rates: {2: yes}}",
+     "prune.winner_rates must be a dict of int to float in (0,1], got {2: True}"),
+    ("data: {dir: /d}\nprune: {weight_targets: {1.5: 0.5}}",
+     "prune.weight_targets must be a dict of int to float in (0,1], got {1.5: 0.5}"),
+    ("data: {dir: /d}\nprune: {rate_grid: [0.5, true]}",
+     "prune.rate_grid must be a list of float, got [0.5, True]"),
 ])
-def test_a_value_of_another_kind_is_rejected_not_converted(tmp_path, capsys, text, path):
+def test_a_value_of_another_kind_is_rejected_not_converted(tmp_path, capsys, text, line):
     """A bool in a number field and a fractional float in an int field, also
     as a list or dict item, exit 1 with one line naming the key path."""
     cfg = _write(tmp_path, f"model: mlp3\n{text}\n")
     assert main(["bench-fc", cfg, "--n-in", "8", "--n-out", "8", "--trials", "1"]) == 1
-    err = capsys.readouterr().err
-    assert len(err.splitlines()) == 1 and err.startswith(f"error: config key {path}: invalid")
+    assert capsys.readouterr().err == f"error: {line}\n"
 
 
 def test_integral_floats_and_numeric_strings_still_load(tmp_path):
@@ -233,6 +245,19 @@ def test_readme_lists_the_key_table():
     assert {key: (owner, name) for key, owner, name in rows} == {
         key: (owner.__name__, name) for key, (owner, name) in KEYS.items()}
     assert len(rows) == len(KEYS)
+
+
+def test_readme_key_table_carries_each_rule_in_words():
+    """The "Accepts" cell of each key's row holds the words its rule puts in
+    an error line; ``model`` is checked by ``models.get_preset``."""
+    cells = dict(re.findall(r"^\| `([^`]+)` \| .* \| ([^|]+) \|$",
+                            (REPO / "README.md").read_text(), flags=re.M))
+    rules = {key: fields.rules(owner)[name] for key, (owner, name) in KEYS.items()
+             if key != "model"}
+    rules["model"] = (str, *fields.one_of(*PRESETS).values())
+    assert cells.keys() >= KEYS.keys()
+    for key, (hint, _, words) in rules.items():
+        assert fields.describe(hint, words) in cells[key], key
 
 
 def test_load_test_reads_and_crops_only_the_test_batch(tmp_path, rng):

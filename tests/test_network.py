@@ -429,8 +429,8 @@ def test_spec_value_outside_its_rule_is_config_error(spec, key, value, words):
                                    (1, True, 28), 784, None],
                          ids=["str", "zero", "empty", "negative", "fraction", "bool", "int", "none"])
 def test_input_shape_must_be_ints_of_at_least_one(shape):
-    with pytest.raises(ConfigError, match=re.escape(
-            f"input shape must be one or more ints >= 1, got {shape!r}")):
+    words = "have one or more dims" if shape == () else "be a list of int >= 1"
+    with pytest.raises(ConfigError, match=re.escape(f"input shape must {words}, got {shape!r}")):
         Network([L.flatten(), L.fc(784, 10)], shape)
 
 

@@ -370,26 +370,32 @@ def test_train_config_validation():
 
 
 @pytest.mark.parametrize("kw, needle", [
-    ({"weight_target_density": {1: 1.5}}, "weight target of layer 1 must be in (0,1], got 1.5"),
-    ({"weight_target_density": {3: 0.0}}, "weight target of layer 3 must be in (0,1], got 0.0"),
+    ({"weight_target_density": {1: 1.5}},
+     "weight_target_density must be a dict of int to float in (0,1], got {1: 1.5}"),
+    ({"weight_target_density": {3: 0.0}},
+     "weight_target_density must be a dict of int to float in (0,1], got {3: 0.0}"),
     ({"optimizer": "sgd", "rho": 1.5}, "rho must be in (0,1), got 1.5"),
     ({"optimizer": "sgd", "eps": -1.0}, "eps must be > 0, got -1.0"),
     ({"optimizer": "sgd", "lr": 0.0}, "lr must be > 0, got 0.0"),
     ({"lr": -1.0}, "lr must be > 0, got -1.0"),
     ({"lr": math.nan}, "lr must be > 0, got nan"),
-    ({"adadelta_lr": 0.0}, "lr must be > 0, got 0.0"),
+    ({"adadelta_lr": 0.0}, "adadelta_lr must be > 0, got 0.0"),
     ({"eps": math.nan}, "eps must be > 0, got nan"),
     ({"optimizer": "sgd", "momentum": 7.0}, "momentum must be in [0,1), got 7.0"),
     ({"l1_strength": -1.0}, "l1_strength must be >= 0, got -1.0"),
     ({"l1_strength": math.nan}, "l1_strength must be >= 0, got nan"),
-    ({"prune_ramp_epochs": -3}, "prune_ramp_epochs must be >= 0"),
+    ({"prune_ramp_epochs": -3}, "prune_ramp_epochs must be an int >= 0, got -3"),
+    ({"seed": 1.5}, "seed must be an int >= 0, got 1.5"),
+    ({"batch_size": 2.5}, "batch_size must be an int >= 1, got 2.5"),
+    ({"baseline_epochs": 1.5}, "baseline_epochs must be an int >= 0, got 1.5"),
 ], ids=["target-above-one", "target-zero", "sgd-rho", "sgd-eps", "sgd-lr", "lr-negative",
         "lr-nan", "adadelta-lr-zero", "eps-nan", "sgd-momentum", "l1-negative", "l1-nan",
-        "ramp-negative"])
+        "ramp-negative", "seed-fraction", "batch-size-fraction", "epochs-fraction"])
 def test_train_config_rejects_values_training_would_fail_on(kw, needle):
-    """Checked when the config is built, by the optimizers' own checks for
-    every optimizer training builds (an sgd run finetunes with Adadelta),
-    with comparisons that a NaN fails."""
+    """Checked when the config is built, by each field's rule (an sgd run
+    also checks its momentum), with comparisons that a NaN fails; a value
+    is cast to its field's type, so a fractional int field fails too, not a
+    ``range`` or ``SeedSequence`` in training."""
     with pytest.raises(ConfigError, match=re.escape(needle)):
         TrainConfig(**kw)
 

@@ -20,8 +20,9 @@ from jointprune import checkpoint as ckpt_io
 from jointprune import layers as L
 from jointprune.checkpoint import checkpoint_from_network, save_checkpoint
 from jointprune.cli import MODES, main
-from jointprune.config import KEYS
+from jointprune.config import KEYS, load_experiment
 from jointprune.datasets import CIFAR_RECORD_BYTES, cifar10_paths, mnist_paths
+from jointprune.errors import ConfigError
 from jointprune.models import get_preset
 from jointprune.network import Network
 from jointprune.sparsity import WinnerRateConfig
@@ -38,6 +39,39 @@ DELETE = object()  # in place of a value: the field is removed
 DTYPES = ["<f8", "<f2", ">f4", "<i4", "|u1", "|b1", "<c8", "|V4", "<U1", "|O"]
 # config values past VALUES: ones that some keys take
 CONFIG_VALUES = [*VALUES, DELETE, 1, 0.5, "reference", {2: 0.5}, [0.5, 1.0]]
+_BELOW_1, _ABOVE_1 = math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0)
+_TINY = math.ulp(0.0)  # the least float > 0
+# each key's own boundary values: just inside its rule, just outside it,
+# NaN, and a value of the wrong type (a key whose rule is only a type gets
+# one of the type and one of another)
+BOUNDARY_VALUES = {
+    "model": ["lenet4", "lenet", math.nan, 4],
+    "seed": [0, -1, math.nan, 0.5],
+    "outputs": ["out", 5, math.nan, ["out"]],
+    "data.dir": ["no-such-dir", 5, math.nan, ["data"]],
+    "data.val_size": [59, 60, math.nan, 10.5],
+    "data.train_subset": [1, 0, math.nan, 1.5],
+    "train.optimizer": ["sgd", "SGD", math.nan, 1],
+    "train.lr": [_TINY, 0.0, math.nan, "fast"],
+    "train.momentum": [_BELOW_1, 1.0, math.nan, "x"],
+    "train.rho": [_BELOW_1, 1.0, math.nan, "x"],
+    "train.eps": [_TINY, 0.0, math.nan, "x"],
+    "train.baseline_epochs": [0, -1, math.nan, 0.5],
+    "train.batch_size": [1, 0, math.nan, 1.5],
+    "train.base_dropout": [_BELOW_1, 1.0, math.nan, "x"],
+    "prune.winner_rates": [{2: 1.0}, {2: _ABOVE_1}, {2: math.nan}, [0.5]],
+    "prune.weight_targets": [{1: _TINY}, {1: 0.0}, {1: math.nan}, [0.5]],
+    "prune.l1_strength": [0.0, -_TINY, math.nan, "x"],
+    "prune.lr_scale": [0.01, math.nextafter(0.01, 0.0), math.nan, "x"],
+    "prune.adadelta_lr": [_TINY, 0.0, math.nan, "x"],
+    "prune.warmup_epochs": [0, -1, math.nan, 0.5],
+    "prune.finetune_epochs": [0, -1, math.nan, 0.5],
+    "prune.prune_ramp_epochs": [0, -1, math.nan, 0.5],
+    "prune.rate_grid": [[0.5], [True], [math.nan], {0: 0.5}],
+    "prune.tolerable_drop": [1.0, _ABOVE_1, math.nan, "x"],
+    "sparsity.downsample_rate": [1.0, _ABOVE_1, math.nan, "x"],
+    "sparsity.selection_mode": ["predicted_threshold", "exact", math.nan, 1],
+}
 # keys that only scale the work of a run: they take no huge value, which
 # would make a run that fits its inputs take forever, not fail
 EPOCH_KEYS = {"train.baseline_epochs", "prune.warmup_epochs", "prune.finetune_epochs",
@@ -223,19 +257,40 @@ def test_every_param_dtype(tmp_path, capsys, mnist):
 
 
 def test_every_config_value(tmp_path, capsys, monkeypatch, mnist):
-    """Each ``config.KEYS`` key set to each value, or removed, run by
-    ``train-dense``; the epoch counts take no huge value."""
+    """Each ``config.KEYS`` key set to each value and to its own boundary
+    values, or removed, run by ``train-dense``; the epoch counts take no huge
+    value."""
     monkeypatch.chdir(tmp_path)  # where a relative outputs or data dir lands
     failures = []
     for key in KEYS:
         section, _, name = key.rpartition(".")
-        for value in CONFIG_VALUES:
+        for value in [*CONFIG_VALUES, *BOUNDARY_VALUES[key]]:
             if key in EPOCH_KEYS and any(value is v for v in HUGE):
                 continue
             doc = copy.deepcopy(mnist)
             _set(doc.setdefault(section, {}) if section else doc, (name,), value)
             cfg = _write_config(tmp_path / "exp.yaml", doc)
             _run(["train-dense", cfg], capsys, (key, value), failures)
+    assert not failures, "\n".join(map(str, failures))
+
+
+def test_every_rejected_config_value_names_its_key(tmp_path, mnist):
+    """Each value of ``test_every_config_value`` that ``load_experiment``
+    rejects gives a ConfigError naming its dotted key; momentum's range,
+    read only by sgd, is also tried under ``train.optimizer: sgd``."""
+    failures = []
+    for key, optimizer in [(key, None) for key in KEYS] + [("train.momentum", "sgd")]:
+        section, _, name = key.rpartition(".")
+        for value in [*CONFIG_VALUES, *BOUNDARY_VALUES[key]]:
+            doc = copy.deepcopy(mnist)
+            if optimizer:
+                doc["train"]["optimizer"] = optimizer
+            _set(doc.setdefault(section, {}) if section else doc, (name,), value)
+            try:
+                load_experiment(_write_config(tmp_path / "exp.yaml", doc))
+            except ConfigError as e:
+                if key not in str(e):
+                    failures.append((key, value, str(e)))
     assert not failures, "\n".join(map(str, failures))
 
 
