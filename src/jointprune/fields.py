@@ -40,11 +40,11 @@ def cast_field(hint, value):
     """``value`` as a field of type ``hint``, else TypeError, ValueError or
     AttributeError.
 
-    ``X | None`` lets None through; ``list``/``dict`` cast each item and key.
-    A str field takes only a string, a bool (Python or numpy) is no number,
-    and an int field takes an integral float (Python or numpy) but no
-    fractional or non-finite one.  A numeric string is a number: JSON dict
-    keys are strings, and PyYAML reads ``1e-5`` as one.
+    ``X | None`` lets None through; ``list``/``dict`` cast each item and key,
+    and a list takes no string.  A str field takes only a string, a bool
+    (Python or numpy) is no number, and an int field takes an integral float
+    (Python or numpy) but no fractional or non-finite one.  A numeric string
+    is a number: JSON dict keys are strings, and PyYAML reads ``1e-5`` as one.
     """
     if type(value) is hint:  # the common case, and the value the cast would give
         return value
@@ -53,6 +53,8 @@ def cast_field(hint, value):
     if type(None) in args:
         return None if value is None else cast_field(args[0], value)
     if origin is list:
+        if isinstance(value, str):  # a string iterates as its characters
+            raise TypeError(f"{value!r} is no list")
         return [cast_field(args[0], v) for v in value]
     if origin is dict:
         return {cast_field(args[0], k): cast_field(args[1], v) for k, v in value.items()}

@@ -7,8 +7,8 @@ a C-contiguous (C, H, W, B) array handed on as its ``transpose(3, 0, 1,
 gives the same bytes.  2-D activations are C-order (flatten copies the
 batch-innermost view).  A train-mode forward caches what the layer's
 backward pass needs, so a layer instance serves one forward/backward pair
-at a time (the network is mutated by a single writer); an eval-mode
-forward keeps no backward state.  skip_save and skip_add are kind markers
+at a time (the network is mutated by a single writer); a conv backward
+consumes it, and an eval-mode forward keeps no backward state.  skip_save and skip_add are kind markers
 with no forward or backward: the network carries their branch through a
 pass.
 
@@ -29,10 +29,10 @@ as one block and keeps its columns for backward; an eval forward streams
 blocks of whole units through one column buffer bounded by
 ``EVAL_COLS_BYTES``.  Both make the same per-unit calls, so they give the
 same bytes, and the output already has the (C, H, W, B) layout.  Backward
-computes ``dw`` in one GEMM over all columns and scatter-adds ``dx``
-through the taps of a zeroed padded gradient; the first weight layer of a
-network skips ``dx``.  The effective-MAC counter sums the taps of its
-padded nonzero counts.
+computes ``dw`` in one GEMM over all columns, frees them, and scatter-adds
+``dx`` through the taps of a zeroed padded gradient; the first weight layer
+of a network skips ``dx``.  The effective-MAC counter sums the taps of a
+layer input's zero-padded per-position nonzero counts.
 
 An eval-mode fc forward of a single sample through a large layer with few
 nonzero inputs multiplies only the weight rows of those inputs (see
@@ -438,10 +438,12 @@ class Conv2d(Layer):
     def backward(self, dout, input_grad=True):
         g = self.spec.geometry
         (b, c, h, w), cols = self._cache
+        self._cache = None  # a backward consumes its forward
         # no copy when dout is batch-innermost, as every layer returns it
         dout2 = np.ascontiguousarray(dout.transpose(1, 2, 3, 0)).reshape(g["out_ch"], -1)
         # cols @ dout2.T runs 1.2-1.7x faster than dout2 @ cols.T on the preset layers
         self.w.grad = (cols @ dout2.T).T.reshape(self.w.value.shape)
+        del cols  # freed before dcols, which is as large, is made
         self.b.grad = dout2.sum(axis=1)
         if not input_grad:
             return None

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .checkpoint import _replacing
-from .errors import JointPruneError
+from .errors import ConfigError, JointPruneError
 from .fields import AT_LEAST_ONE, RATE, check
 from .layers import _padded, _taps, build_layer, fc
 from .sparsity import WinnerRateConfig
@@ -89,66 +89,74 @@ class MacReport:
         return MAC_HEADER, rows
 
 
-def nonzero_count(a):
-    """Nonzero count of an array in memory order: a batch-innermost
-    activation is a permuted view, on which np.count_nonzero is slow."""
-    return int(np.count_nonzero(a.ravel(order="K")))
+EVAL_BATCH = 500  # samples per evaluation forward
 
 
-# Both counters sum exact int64 pair counts over the batch: a float32 sum
-# drops counts once it passes 2**24.
+def _hits(logits, labels):
+    return int((logits.argmax(axis=1) == labels).sum())
 
 
-def _effective_macs_fc(x, wmask):
-    # pairs (nonzero input i) x (unpruned weight (i, o)), summed over the batch
-    return int(np.count_nonzero(x, axis=0) @ np.count_nonzero(wmask, axis=1))
+def nonzero_counts(net, images, layers, labels=None, what="batch"):
+    """The one eval walk: forwards of ``EVAL_BATCH`` images with the net's
+    masks.  Returns per layer of ``layers`` (-1: the input) the int64 count of
+    samples in which each position of its output is nonzero, summed over the
+    forwards, and the top-1 hits on ``labels``; empty ``images`` raise."""
+    if len(images) == 0:
+        raise ConfigError(f"cannot evaluate on an empty {what}")
+    counts, hits = dict.fromkeys(layers, 0), 0
+    keep = [i for i in counts if i >= 0]
+    for start in range(0, len(images), EVAL_BATCH):
+        # a contiguous batch: a cropped split is a strided view of its images
+        x = np.ascontiguousarray(images[start:start + EVAL_BATCH], dtype=net.dtype)
+        result = net.forward(x, mode="eval", keep=keep)
+        for i in counts:
+            nz = np.count_nonzero(x if i < 0 else result.post_mask[i], axis=0)
+            counts[i] = counts[i] + nz.astype(np.int64, copy=False)
+        if labels is not None:
+            hits += _hits(result.logits, labels[start:start + EVAL_BATCH])
+    return counts, hits
 
 
-def _effective_macs_conv(x, layer, wmask):
+# Pair counts are linear in the per-position counts, so both counters count
+# a layer's pairs once, in exact int64, from its input's summed count map.
+
+
+def _effective_macs_fc(nz, wmask):
+    # pairs (nonzero input i) x (unpruned weight (i, o)), summed over the samples
+    return int(nz @ np.count_nonzero(wmask, axis=1))
+
+
+def _effective_macs_conv(nz, layer, wmask):
     g = layer.spec.geometry
     k, s, p = g["kernel"], g["stride"], g["pad"]
-    _, oh, ow = layer.out_shape(x.shape[1:])
-    # per input position, the samples where it is nonzero; then each
-    # weight element (c, i, j) pairs with the counts that its window tap
-    # (i, j) of the zero-padded counts holds for channel c
-    nz = np.count_nonzero(x, axis=0).astype(np.int64)[..., None]
-    taps = _taps(_padded(nz, p, 0), k, s, oh, ow)
+    _, oh, ow = layer.out_shape(nz.shape)
+    # each weight element (c, i, j) pairs with the counts that its window
+    # tap (i, j) of the zero-padded counts holds for channel c
+    taps = _taps(_padded(nz[..., None], p, 0), k, s, oh, ow)
     per_tap = np.stack([t.sum(axis=(1, 2, 3)) for t in taps], axis=1)
     per_elem = np.count_nonzero(wmask.reshape(g["out_ch"], -1), axis=0)
     return int(per_elem @ per_tap.ravel())
 
 
 def count_effective_macs(net, batch):
-    """Measure effective MACs on a sample batch with the net's masks active.
-
-    Runs an eval-mode forward (dynamic winner masks applied when the net
-    carries a mask config), then counts nonzero-input x unpruned-weight
-    pairs per fc/conv layer, averaged over the batch.  A layer's dense count
-    is its weight count times its output positions (one for an fc layer).
-    """
-    batch = np.asarray(batch, dtype=net.dtype)
+    """Effective MACs of a sample batch with the net's masks active: the
+    nonzero-input x unpruned-weight pairs of each fc/conv layer over the
+    :func:`nonzero_counts` walk, averaged over the batch.  A layer's dense
+    count is its weight count times its output positions (one for an fc)."""
     names = weight_layer_names(net)
-    result = net.forward(batch, mode="eval", keep=[i - 1 for i in names if i])
+    counts, _ = nonzero_counts(net, batch, [i - 1 for i in names])
+    n = len(batch)
     report = MacReport()
-    b = batch.shape[0]
     for i, name in names.items():
-        layer = net.layers[i]
-        inp = batch if i == 0 else result.post_mask[i - 1]
+        layer, nz = net.layers[i], counts[i - 1]
         w = layer.params[0]
         wmask = w.mask if w.mask is not None else np.ones_like(w.value)
-        if layer.kind == "fc":
-            eff = _effective_macs_fc(inp, wmask) / b
-        else:
-            eff = _effective_macs_conv(inp, layer, wmask) / b
-        report.rows.append(
-            MacLayerRow(
-                name=name,
-                dense_macs=w.value.size * math.prod(net.layer_shapes[i][1:]),
-                effective_macs=eff,
-                acti_density_in=nonzero_count(inp) / inp.size,
-                weight_density=w.density(),
-            )
-        )
+        pairs = (_effective_macs_fc(nz, wmask) if layer.kind == "fc"
+                 else _effective_macs_conv(nz, layer, wmask))
+        report.rows.append(MacLayerRow(
+            name=name, dense_macs=w.value.size * math.prod(net.layer_shapes[i][1:]),
+            effective_macs=pairs / n, acti_density_in=int(nz.sum()) / (n * nz.size),
+            weight_density=w.density()))
     return report
 
 

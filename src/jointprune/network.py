@@ -219,17 +219,19 @@ class Network:
 
         Gradients crossing a masked layer output are multiplied by that
         layer's winner mask, and gradients of statically masked-out weights
-        are forced to exact zero.  Needs a train-mode :meth:`forward` first.
+        are forced to exact zero.  Needs a train-mode :meth:`forward` first,
+        and consumes it (a conv layer frees its im2col columns on the way).
         A skip_add hands its gradient to its branch as well, and the
         skip_save adds it in after its own winner mask.  Returns None: the
         first weight layer's input gradient feeds no param, so neither it nor
         any layer below it runs.
         """
-        if self._act_masks is None:
+        act_masks, self._act_masks = self._act_masks, None
+        if act_masks is None:
             raise ConfigError("backward needs a train-mode forward")
         dout, dbranches = dlogits, {}
         for i in range(len(self.layers) - 1, -1, -1):
-            t = self._act_masks[i]
+            t = act_masks[i]
             if t is not None:
                 dout = dout * t
             layer = self.layers[i]

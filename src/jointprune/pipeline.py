@@ -12,16 +12,15 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import metrics
 from .errors import ConfigError, DivergenceError
 from .fields import (ANY, AT_LEAST_ONE, FRACTION, NON_NEGATIVE, OPEN_UNIT, POSITIVE, RATE, check,
                      check_fields, one_of, setting)
-from .metrics import SparsityStats, nonzero_count
 from .network import loss_and_backward
 from .optim import OPTIMIZER_NAMES, make_optimizer
 from .sparsity import WinnerRateConfig, prune_weights_by_magnitude, threshold_for_target_density
 
 log = logging.getLogger(__name__)
-EVAL_BATCH = 500  # samples per evaluation forward
 
 
 @dataclass
@@ -86,10 +85,6 @@ def run_epoch(net, opt, split, cfg, rng, alpha=0.0):
     return tuple(totals / max(1, batches))
 
 
-def _hits(logits, labels):
-    return int((logits.argmax(axis=1) == labels).sum())
-
-
 def evaluate(net, split, mode="jp", stat_layers=None):
     """Top-1 accuracy plus measured activation sparsity.
 
@@ -104,8 +99,6 @@ def evaluate(net, split, mode="jp", stat_layers=None):
     cfg = net.mask_cfg
     if mode == "jp" and cfg is None:
         raise ConfigError("jp mode requires a winner-rate config on the network")
-    if len(split) == 0:
-        raise ConfigError(f"cannot evaluate on an empty {split.role} split")
     if stat_layers is None:
         stat_layers = sorted(cfg.per_layer_rate) if cfg else []
     last = len(net.layers) - 1
@@ -113,21 +106,12 @@ def evaluate(net, split, mode="jp", stat_layers=None):
         if not 0 <= i <= last:
             raise ConfigError(f"stat layer index {i} out of range for {last + 1} layers")
     layers = [i for i in stat_layers if i != last] + [last]
-    correct = 0
-    nnz = {i: 0 for i in layers}
-    sizes = {i: 0 for i in layers}
     with net.masks(cfg if mode == "jp" else None):
-        for idx in minibatches(len(split), EVAL_BATCH):
-            result = net.forward(split.images[idx], mode="eval", keep=layers)
-            correct += _hits(result.logits, split.labels[idx])
-            for i in layers:
-                a = result.post_mask[i]
-                nnz[i] += nonzero_count(a)
-                sizes[i] += a.size
-    stats = SparsityStats(
-        per_layer=[(i, sizes[i] // len(split), nnz[i] / sizes[i]) for i in layers]
-    )
-    return correct / len(split), stats
+        counts, hits = metrics.nonzero_counts(net, split.images, layers, split.labels,
+                                              f"{split.role} split")
+    n = len(split)
+    return hits / n, metrics.SparsityStats(per_layer=[
+        (i, counts[i].size, int(counts[i].sum()) / (n * counts[i].size)) for i in layers])
 
 
 def train_dense(net, cfg, train_split, val_split=None, epochs=None):
@@ -166,12 +150,12 @@ def sensitivity_sweep(net, val_split, rates, layers):
     rates = sorted(check("winner rate", r, float, **RATE) for r in rates)
     swept = [r for r in dict.fromkeys(rates) if r != 1.0]
     base_hits, hits = 0, Counter()
-    for idx in minibatches(len(val_split), EVAL_BATCH):
+    for idx in minibatches(len(val_split), metrics.EVAL_BATCH):
         labels = val_split.labels[idx]
         dense, masked = net.sweep_logits(val_split.images[idx], layers, swept)
-        base_hits += _hits(dense, labels)
+        base_hits += metrics._hits(dense, labels)
         for key, logits in masked.items():
-            hits[key] += _hits(logits, labels)
+            hits[key] += metrics._hits(logits, labels)
     n = len(val_split)
     curve = SensitivityCurve(baseline_accuracy=base_hits / n)
     for layer in layers:

@@ -277,6 +277,13 @@ def effective_macs_conv_bruteforce(x, wmask, stride, pad):
     return total
 
 
+def effective_macs_fc_exact(x, wmask):
+    """The same pair count as :func:`effective_macs_fc_bruteforce` as one
+    product of 0/1 matrices per sample and output, for sizes the loop cannot
+    reach (each count and their sum are exact in float64)."""
+    return int(((x != 0).astype(np.float64) @ (wmask != 0).astype(np.float64)).sum())
+
+
 def effective_macs_conv_int64(x, wmask, stride, pad):
     """The same pair count as :func:`effective_macs_conv_bruteforce` in
     int64 over sliding windows, for sizes the loop cannot reach."""

@@ -172,10 +172,13 @@ def test_cli_rejects_a_malformed_config_in_one_line(tmp_path, capsys, text):
      "prune.weight_targets must be a dict of int to float in (0,1], got {1.5: 0.5}"),
     ("data: {dir: /d}\nprune: {rate_grid: [0.5, true]}",
      "prune.rate_grid must be a list of float, got [0.5, True]"),
+    ("data: {dir: /d}\nprune: {rate_grid: \"12\"}",
+     "prune.rate_grid must be a list of float, got '12'"),
 ])
 def test_a_value_of_another_kind_is_rejected_not_converted(tmp_path, capsys, text, line):
     """A bool in a number field and a fractional float in an int field, also
-    as a list or dict item, exit 1 with one line naming the key path."""
+    as a list or dict item, and a string in a list field (not read as its
+    characters), exit 1 with one line naming the key path."""
     cfg = _write(tmp_path, f"model: mlp3\n{text}\n")
     assert main(["bench-fc", cfg, "--n-in", "8", "--n-out", "8", "--trials", "1"]) == 1
     assert capsys.readouterr().err == f"error: {line}\n"

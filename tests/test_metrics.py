@@ -1,6 +1,7 @@
 """MAC accounting against brute-force pair counting, plus CSV reports and
 the fc condensation benchmark."""
 
+import math
 import os
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from jointprune import layers as L
 from jointprune.errors import ConfigError, JointPruneError
+from jointprune import metrics
 from jointprune.metrics import (
     MacLayerRow,
     MacReport,
@@ -20,6 +22,7 @@ from jointprune.metrics import (
 )
 from jointprune.models import get_preset
 from jointprune.network import Network
+from jointprune.pipeline import prune_to_targets
 from jointprune.sparsity import WinnerRateConfig
 
 from datafiles import read_report
@@ -27,6 +30,7 @@ from oracles import (
     effective_macs_conv_bruteforce,
     effective_macs_conv_int64,
     effective_macs_fc_bruteforce,
+    effective_macs_fc_exact,
 )
 
 
@@ -144,6 +148,41 @@ def test_conv_effective_macs_exact_above_2_pow_24_pairs(rng):
     pairs = effective_macs_conv_int64(x, w.mask, 1, 2)
     assert pairs > 2**24
     assert count_effective_macs(net, x).rows[0].effective_macs * 32 == pairs
+
+
+@pytest.mark.parametrize("name", ["mlp3", "lenet4", "convnet5"])
+def test_effective_macs_over_several_forwards_match_bruteforce(rng, name):
+    """1,200 samples through a preset pruned to its targets, with exact
+    masks at its reference rates, run as three eval forwards of
+    ``EVAL_BATCH`` = 500 (the last ragged).  Each layer's pairs, counted
+    once from the summed per-position counts, equal the oracle's pair
+    counts summed over the outputs of each 500-sample eval forward, and its
+    input density their nonzero count."""
+    preset = get_preset(name)
+    net = preset.build(seed=1)
+    prune_to_targets(net, preset.weight_targets, ramp=1.0)
+    net.set_mask_cfg(WinnerRateConfig(per_layer_rate=dict(preset.reference_rates)))
+    x = rng.random((1200,) + net.input_shape).astype(np.float32)
+    x[x < 0.3] = 0.0
+    sizes, forward = [], net.forward
+    net.forward = lambda xb, **kw: sizes.append(len(xb)) or forward(xb, **kw)
+    report = count_effective_macs(net, x)
+    assert sizes == [500, 500, 200] and metrics.EVAL_BATCH == 500
+    pairs, nonzero = {}, {}
+    for start in range(0, len(x), 500):
+        xb = x[start:start + 500]
+        res = forward(xb, mode="eval")
+        for i, w in net.weight_params():
+            inp = xb if i == 0 else res.post_mask[i - 1]
+            g = net.specs[i].geometry
+            pairs[i] = pairs.get(i, 0) + (
+                effective_macs_fc_exact(inp, w.mask) if net.layers[i].kind == "fc" else
+                effective_macs_conv_int64(inp, w.mask, g["stride"], g["pad"]))
+            nonzero[i] = nonzero.get(i, 0) + np.count_nonzero(inp)
+    for row, (i, w) in zip(report.rows, net.weight_params()):
+        size = math.prod(net.input_shape if i == 0 else net.layer_shapes[i - 1])
+        assert row.effective_macs == pairs[i] / len(x), row.name
+        assert row.acti_density_in == int(nonzero[i]) / (len(x) * size), row.name
 
 
 def test_effective_macs_monotone_under_pruning(rng):

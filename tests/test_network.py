@@ -132,6 +132,10 @@ def test_backward_needs_train_forward(rng):
         net.backward(dlogits)
     net.forward(x, mode="train")
     net.backward(dlogits)
+    with pytest.raises(ConfigError, match="train-mode forward"):
+        net.backward(dlogits)  # a backward consumes its forward
+    net.forward(x, mode="train")
+    net.backward(dlogits)
     net.forward(x, mode="eval")
     # an eval forward drops the backward state a train forward left behind
     assert all(getattr(layer, "_cache", None) is None for layer in net.layers)
@@ -310,8 +314,10 @@ def test_backward_skips_first_weight_layer_input_gradient(rng, monkeypatch):
         scattered.append(dxp.shape) or cropped(dxp, p)))
     net = Network([L.conv2d(1, 2, 3, 1, 1), L.relu(), L.conv2d(2, 3, 3, 1, 1),
                    L.flatten(), L.fc(48, 4)], (1, 4, 4), dtype=np.float64)
-    loss_and_backward(net, rng.standard_normal((3, 1, 4, 4)), [0, 1, 3])
+    x = rng.standard_normal((3, 1, 4, 4))
+    loss_and_backward(net, x, [0, 1, 3])
     assert scattered == [(2, 6, 6, 3)]  # layer 2's padded (C, H, W, B) dx only
+    net.forward(x, mode="train")  # a backward consumes its forward
     assert net.backward(np.ones((3, 4))) is None
 
     net = Network([L.flatten(), L.fc(12, 5), L.relu(), L.fc(5, 3)], (1, 3, 4))
@@ -426,8 +432,9 @@ def test_spec_value_outside_its_rule_is_config_error(spec, key, value, words):
 
 
 @pytest.mark.parametrize("shape", [(1, "x", 28), (1, 0, 28), (), (1, -2, 28), (1, 2.5, 28),
-                                   (1, True, 28), 784, None],
-                         ids=["str", "zero", "empty", "negative", "fraction", "bool", "int", "none"])
+                                   (1, True, 28), 784, None, "28"],
+                         ids=["str", "zero", "empty", "negative", "fraction", "bool", "int", "none",
+                              "string"])
 def test_input_shape_must_be_ints_of_at_least_one(shape):
     words = "have one or more dims" if shape == () else "be a list of int >= 1"
     with pytest.raises(ConfigError, match=re.escape(f"input shape must {words}, got {shape!r}")):

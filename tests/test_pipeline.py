@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from jointprune import layers as L
-from jointprune import pipeline
+from jointprune import metrics
 from jointprune.datasets import DatasetSplit
 from jointprune.errors import ConfigError, DivergenceError
 from jointprune.models import get_preset
@@ -149,7 +149,7 @@ def test_sensitivity_sweep_matches_reference(name, monkeypatch):
     attached = WinnerRateConfig(per_layer_rate=pre.reference_rates, downsample_rate=0.1,
                                 selection_mode=PREDICTED_THRESHOLD)
     net.set_mask_cfg(attached)
-    monkeypatch.setattr(pipeline, "EVAL_BATCH", 7)
+    monkeypatch.setattr(metrics, "EVAL_BATCH", 7)
     val = _labelled_by(net, 17)
     rates, layers = [1.0, 0.05, 0.3], pre.mask_layers[::-1]
     before = _param_bytes(net)

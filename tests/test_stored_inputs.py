@@ -307,11 +307,17 @@ def _run_file_edits(path, edits, argv, capsys):
 def test_every_idx_header_field(tmp_path, capsys, mnist):
     """Each header word of the test image and label files (magic, count,
     rows, cols) set to each of ``IDX_WORDS``, and each file cut short or
-    grown by a byte, run by ``eval``."""
+    grown by a byte, and both files of 0 digits, run by ``eval`` and by
+    ``report-macs`` on a small conv net with winner rates."""
     write_mnist(tmp_path, "test", 4, np.random.default_rng(0))
     cfg = _write_config(tmp_path / "exp.yaml", {**mnist, "data": {"dir": str(tmp_path)}})
-    ckpt = tmp_path / "m.ckpt"
+    ckpt, conv = tmp_path / "m.ckpt", tmp_path / "c.ckpt"
     save_checkpoint(_small_checkpoint(), ckpt)
+    net = Network([L.conv2d(1, 2, 3, 1, 1), L.relu(), L.flatten(), L.fc(1568, 10)], (1, 28, 28))
+    net.set_mask_cfg(WinnerRateConfig(per_layer_rate={1: 0.5}))
+    save_checkpoint(checkpoint_from_network(net), conv)
+    argvs = (["eval", cfg, "--checkpoint", str(ckpt)],
+             ["report-macs", cfg, "--checkpoint", str(conv)])
     failures = []
     for path, words in zip(mnist_paths(tmp_path)["test"], (4, 2)):
         intact = Path(path).read_bytes()
@@ -319,8 +325,11 @@ def test_every_idx_header_field(tmp_path, capsys, mnist):
                  for at in range(0, 4 * words, 4) for word in IDX_WORDS]
         edits += [intact[:n] for n in (0, 3, 4, 4 * words - 1, 4 * words, len(intact) - 1)]
         edits += [intact + b"\0", intact]
-        failures += _run_file_edits(Path(path), edits, ["eval", cfg, "--checkpoint", str(ckpt)],
-                                    capsys)
+        for argv in argvs:
+            failures += _run_file_edits(Path(path), edits, argv, capsys)
+    write_mnist(tmp_path, "test", 0, np.random.default_rng(0))
+    for argv in argvs:
+        _run(argv, capsys, ("0 digits", argv[0]), failures)
     assert not failures, "\n".join(map(str, failures))
 
 
